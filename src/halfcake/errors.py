@@ -73,3 +73,11 @@ class DegenerateDesiredDifference(HalfCakeError):
 
 class UnknownTarget(HalfCakeError):
     """Unrecognized reproduction target name."""
+
+
+class InvalidArgument(HalfCakeError):
+    """A numeric argument lies outside its valid range."""
+
+
+class InconsistentBound(HalfCakeError):
+    """Bound fields violate value * mu + rank == Mbar1 + Nbar2."""

@@ -22,7 +22,14 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel_model import ChannelRealization, ExtendedRealization, NetworkSpec, validate_spec
-from .errors import BadPartition, BadShape, NonUniformMu, PlanViolatesDefinition1
+from .errors import (
+    BadPartition,
+    BadShape,
+    InconsistentBound,
+    InvalidArgument,
+    NonUniformMu,
+    PlanViolatesDefinition1,
+)
 from .exact_linalg import (
     MERSENNE61,
     BlockPattern,
@@ -326,7 +333,10 @@ class DofBound:
     method: str
 
     def __post_init__(self):
-        assert self.value * self.mu + self.rank == self.Mbar1 + self.Nbar2
+        if self.value * self.mu + self.rank != self.Mbar1 + self.Nbar2:
+            raise InconsistentBound(
+                f"bound {self.value} * mu {self.mu} + rank {self.rank} "
+                f"!= Mbar1 {self.Mbar1} + Nbar2 {self.Nbar2}")
 
     def to_json(self) -> dict:
         return {
@@ -416,6 +426,15 @@ def weighted_dof_bound(spec: NetworkSpec, mu: Sequence[int], plan: ReplicationPl
 #: int64-safe prime for cheap screening ranks inside the search
 _SCREEN_PRIME = (1 << 31) - 1
 
+#: candidates scored per numpy call; keeps the kernel's scratch arrays small
+_CHUNK = 1024
+
+
+def _oriented_partition(mu: int, cuts, swap) -> Tuple[Tuple[Replica, ...], Tuple[Replica, ...]]:
+    """Contiguous partition of uniform copies, with the groups exchanged if ``swap``."""
+    partition = contiguous_partition([mu] * len(cuts), [int(c) for c in cuts])
+    return partition[::-1] if swap else partition
+
 
 def _offset_class_shifts(K: int, mu: int):
     """Shift tables that depend only on (i - j) mod K; covers the mirror wiring."""
@@ -428,22 +447,70 @@ def _offset_class_shifts(K: int, mu: int):
         yield table
 
 
+def candidate_potentials(spec: NetworkSpec, mu: int, shifts, cuts, swap) -> np.ndarray:
+    """Mbar1 + Nbar2 - structural rank cap for a batch of circulant candidates.
+
+    Row n is the plan with uniform replica count ``mu``, shift table
+    ``shifts[n]`` (K x K, diagonal ignored), contiguous cuts ``cuts[n]``
+    and, where ``swap[n]``, the two groups exchanged.  The integers equal
+    those of ``cooperate(build_replicated(spec, plan), plan.partition)``
+    and its ``pattern.structural_cap(spec)``, without building either:
+    receiver copy (j, b) in group 2 hears transmitter copy
+    (i, (b + s_ji) % mu), so its row budget sums D[j][i] over the i whose
+    copy is in group 1, and transmitter copy (i, a) in group 1 reaches
+    receiver copy (j, (a - s_ji) % mu), so its column budget sums D[j][i]
+    over the j whose copy is in group 2.
+    """
+    K = spec.K
+    M = np.array(spec.M, dtype=np.int64)
+    N = np.array(spec.N, dtype=np.int64)
+    D = np.array([[0 if i == j else spec.D[j][i] for i in range(K)] for j in range(K)],
+                 dtype=np.int64)[None, :, None, :]
+    shifts, cuts, swap = np.asarray(shifts), np.asarray(cuts), np.asarray(swap, dtype=bool)
+    copies = np.arange(mu)
+    users = np.arange(K)
+    out = np.empty(len(cuts), dtype=np.int64)
+    for lo in range(0, len(cuts), _CHUNK):
+        hi = lo + _CHUNK
+        s = shifts[lo:hi, :, None, :]                                     # (n, j, 1, i)
+        g1 = (copies < cuts[lo:hi, :, None]) ^ swap[lo:hi, None, None]    # (n, user, copy)
+        g2 = ~g1
+        cand = np.arange(len(g1))[:, None, None, None]
+        # [n, j, b, i]: transmitter copy (i, (b + s_ji) % mu) sits in group 1
+        heard = g1[cand, users, (copies[:, None] + s) % mu]
+        row = (heard * D).sum(axis=3)                                     # (n, j, b)
+        # [n, j, a, i]: receiver copy (j, (a - s_ji) % mu) sits in group 2
+        reached = g2[cand, users[:, None, None], (copies[:, None] - s) % mu]
+        col = (reached * D).sum(axis=1).transpose(0, 2, 1)                # (n, i, a)
+        rows = (g2 * np.minimum(N[:, None], row)).sum(axis=(1, 2))
+        cols = (g1 * np.minimum(M[:, None], col)).sum(axis=(1, 2))
+        mbar1 = g1.sum(axis=2) @ M
+        nbar2 = g2.sum(axis=2) @ N
+        out[lo:hi] = mbar1 + nbar2 - np.minimum(np.minimum(rows, cols), np.minimum(mbar1, nbar2))
+    return out
+
+
 def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int = 0,
                   screen_trials: int = 1, certify_trials: int = 8) -> DofBound:
     """Best bound over circulant plans with contiguous cooperation groups.
 
     Enumerates, for each uniform mu <= mu_max, the offset-class shift
     tables and all per-user contiguous cuts (both group orientations),
-    then spends any remaining budget on seeded random full shift tables.
-    Candidates are screened cheapest-first: the structural rank cap gives
-    every candidate a potential (best value it could still reach), and
-    only candidates whose potential beats the current best pay for a rank
-    evaluation.  ``budget`` caps those evaluations.  The winner is
-    re-certified over the default field at ``certify_trials``.  Ties break
+    then draws up to ``2 * budget`` seeded random full shift tables.
+    Candidates are screened cheapest-first: the structural rank cap,
+    computed on integer arrays by ``candidate_potentials``, gives every
+    candidate a potential (best value it could still reach), and only
+    candidates whose potential beats the current best are built as plans
+    and pay for a rank evaluation.  ``budget`` bounds the work: at most
+    ``budget`` rank evaluations (memo hits are free) and at most
+    ``2 * budget`` random candidates scored.  The winner is re-certified
+    over the default field at ``certify_trials``.  Ties break
     lexicographically on (bound, mu, plan encoding).
     """
     if mu_max < 1:
-        raise ValueError("mu_max must be >= 1")
+        raise InvalidArgument(f"mu_max must be >= 1, got {mu_max}")
+    if budget < 1:
+        raise InvalidArgument(f"budget must be >= 1, got {budget}")
     validate_spec(spec)
     K = spec.K
     best: Optional[DofBound] = None
@@ -451,14 +518,15 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     evals = 0
     rank_memo: dict = {}
 
-    def pattern_key(coop: CooperativeChannel) -> tuple:
-        return (coop.pattern.row_sizes, coop.pattern.col_sizes,
-                tuple(sorted(coop.pattern.entries.items())))
+    def beats_best(potential: int, mu: int) -> bool:
+        return best is None or potential * best.value.denominator < best.value.numerator * mu
 
-    def evaluate(plan: ReplicationPlan, coop: CooperativeChannel) -> None:
+    def evaluate(mu: int, shifts, partition) -> None:
         nonlocal best, best_key, evals
-        mu = plan.uniform_mu
-        key = pattern_key(coop)
+        plan = ReplicationPlan.from_shifts([mu] * K, shifts, partition)
+        coop = cooperate(build_replicated(spec, plan), plan.partition)
+        key = (coop.pattern.row_sizes, coop.pattern.col_sizes,
+               tuple(sorted(coop.pattern.entries.items())))
         if key in rank_memo:
             r = rank_memo[key]
         else:
@@ -473,63 +541,60 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
                             f"screen-prime-field(trials={screen_trials})")
             best_key = cand_key
 
-    def run_skeleton(skeleton: ReplicationPlan, mu: int) -> None:
-        """Screen all contiguous partitions of one wiring, best potential first."""
-        nonlocal best
-        repnet = build_replicated(spec, skeleton)
-        candidates = []
-        for cuts in product(range(mu + 1), repeat=K):
-            base = ReplicationPlan(skeleton.mu, skeleton.assign,
-                                   contiguous_partition([mu] * K, cuts))
-            for plan in (base, base.swapped()):
-                coop = cooperate(repnet, plan.partition)
-                cap = coop.pattern.structural_cap(spec)
-                potential = Fraction(coop.Mbar1 + coop.Nbar2 - cap, mu)
-                candidates.append((potential, plan.encoding(), plan, coop))
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        for potential, _, plan, coop in candidates:
-            if best is not None and potential >= best.value:
-                break
-            if evals >= budget:
+    def run_table(mu: int, shifts, cuts, swap) -> None:
+        """Screen every cut of one shift table, best (potential, partition) first."""
+        potentials = candidate_potentials(spec, mu, np.broadcast_to(shifts, (len(cuts), K, K)),
+                                          cuts, swap)
+        for potential in np.unique(potentials):
+            if not beats_best(int(potential), mu):
                 return
-            evaluate(plan, coop)
+            group = sorted(_oriented_partition(mu, cuts[n], swap[n])
+                           for n in np.flatnonzero(potentials == potential))
+            for partition in group:
+                if not beats_best(int(potential), mu) or evals >= budget:
+                    return
+                evaluate(mu, shifts, partition)
 
     for mu in range(1, mu_max + 1):
-        if evals >= budget:
-            break
+        one_side = np.array(list(product(range(mu + 1), repeat=K)), dtype=np.int64)
+        cuts = np.concatenate([one_side, one_side])
+        swap = np.repeat([False, True], len(one_side))
         for shifts in _offset_class_shifts(K, mu):
             if evals >= budget:
                 break
-            skeleton = ReplicationPlan.from_shifts(
-                [mu] * K, shifts, contiguous_partition([mu] * K, [0] * K))
-            run_skeleton(skeleton, mu)
+            run_table(mu, shifts, cuts, swap)
 
-    # random full shift tables with whatever budget remains, one candidate each
+    # random full shift tables, scored a chunk at a time; repeats are skipped.
+    # best is set: the single mu = 1 table always evaluates its first cut.
     rng = rng_from(seed, 0x5E)
-    links = [(j, i) for j in range(K) for i in range(K) if i != j]
-    repnet_cache: dict = {}
-    attempts = 0
-    while evals < budget and attempts < 2 * budget and mu_max > 1:
-        attempts += 1
-        mu = int(rng.integers(2, mu_max + 1))
-        table = tuple(tuple(int(rng.integers(0, mu)) if (j, i) in links else 0
-                            for i in range(K)) for j in range(K))
-        cuts = [int(rng.integers(0, mu + 1)) for _ in range(K)]
-        plan = ReplicationPlan.from_shifts([mu] * K, table,
-                                           contiguous_partition([mu] * K, cuts))
-        if rng.integers(0, 2):
-            plan = plan.swapped()
-        if (mu, table) not in repnet_cache:
-            repnet_cache[(mu, table)] = build_replicated(spec, plan)
-        coop = cooperate(repnet_cache[(mu, table)], plan.partition)
-        cap = coop.pattern.structural_cap(spec)
-        if best is not None and Fraction(coop.Mbar1 + coop.Nbar2 - cap, mu) >= best.value:
-            continue
-        evaluate(plan, coop)
+    links = ~np.eye(K, dtype=bool)
+    seen = set()
+    drawn = 0
+    while mu_max > 1 and evals < budget and drawn < 2 * budget:
+        n = min(_CHUNK, 2 * budget - drawn)
+        drawn += n
+        mus = rng.integers(2, mu_max + 1, size=n)
+        shifts = rng.integers(0, mus[:, None, None], size=(n, K, K)) * links
+        cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
+        swap = rng.integers(0, 2, size=n).astype(bool)
+        potentials = np.empty(n, dtype=np.int64)
+        for mu in np.unique(mus):
+            sel = mus == mu
+            potentials[sel] = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel], swap[sel])
+        survivors = np.flatnonzero(potentials * best.value.denominator
+                                   < best.value.numerator * mus)
+        for t in survivors:
+            mu = int(mus[t])
+            key = (mu, shifts[t].tobytes(), cuts[t].tobytes(), bool(swap[t]))
+            if key in seen:
+                continue
+            seen.add(key)
+            if evals >= budget:
+                break
+            if beats_best(int(potentials[t]), mu):
+                evaluate(mu, shifts[t], _oriented_partition(mu, cuts[t], swap[t]))
 
-    assert best is not None
-    certified = outer_bound(spec, best.plan, trials=certify_trials, seed=seed)
-    return certified
+    return outer_bound(spec, best.plan, trials=certify_trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------

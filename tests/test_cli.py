@@ -55,6 +55,18 @@ def test_analyze_invalid_spec_exits_2(tmp_path):
     assert main(["analyze", "--spec", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "bound"])
+@pytest.mark.parametrize("flag", ["--mu-max", "--budget"])
+def test_search_flag_zero_exits_2(tmp_path, rect23_spec, capsys, command, flag):
+    spec_path = _write_spec(tmp_path, rect23_spec)
+    assert main([command, "--spec", spec_path, flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_feasibility_counterexample(tmp_path, counterexample_spec, capsys):
     spec_path = _write_spec(tmp_path, counterexample_spec)
     assert main(["feasibility", "--spec", spec_path]) == 0

@@ -21,7 +21,14 @@ from halfcake import (
     weighted_dof_bound,
 )
 from halfcake import presets
-from halfcake.errors import BadPartition, NonUniformMu, PlanViolatesDefinition1
+from halfcake.errors import (
+    BadPartition,
+    InconsistentBound,
+    InvalidArgument,
+    NonUniformMu,
+    PlanViolatesDefinition1,
+)
+from halfcake.replication_bounds import DofBound, candidate_potentials
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +178,12 @@ def test_outer_bound_rejects_nonuniform():
         outer_bound(spec, plan)
 
 
+def test_dof_bound_rejects_inconsistent_fields():
+    plan = ReplicationPlan.mirror(3)
+    with pytest.raises(InconsistentBound):
+        DofBound(Fraction(13, 2), 2, 23, 24, 24, plan, "made-up")
+
+
 def test_bound_json_keys(rect23_spec):
     out = outer_bound(rect23_spec, presets.rect_2x3_plan(), trials=2, seed=0).to_json()
     assert out["bound"] == {"num": 18, "den": 5}
@@ -242,6 +255,71 @@ def test_search_soundness_random_small_specs():
         spec = NetworkSpec.square(M, cross)
         best = search_bounds(spec, mu_max=2, budget=40, seed=t, certify_trials=4)
         assert best.value >= spec.half_cake
+
+
+def test_candidate_potentials_match_cooperation():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(60):
+        K = int(rng.integers(2, 6))
+        mu = int(rng.integers(1, 5))
+        M = tuple(int(v) for v in rng.integers(1, 5, size=K))
+        N = tuple(int(v) for v in rng.integers(1, 5, size=K))
+        # rank 0 on roughly a third of the links
+        cross = {(j, i): int(rng.integers(0, min(M[i], N[j]) + 1)) * int(rng.integers(0, 3) > 0)
+                 for j in range(K) for i in range(K) if i != j}
+        spec = NetworkSpec.make(M, N, cross)
+        shifts = rng.integers(0, mu, size=(10, K, K))
+        cuts = rng.integers(0, mu + 1, size=(10, K))
+        swap = np.arange(10) % 2 == 1
+        got = candidate_potentials(spec, mu, shifts, cuts, swap)
+        for n in range(10):
+            plan = ReplicationPlan.from_shifts(
+                [mu] * K, shifts[n], contiguous_partition([mu] * K, cuts[n].tolist()))
+            if swap[n]:
+                plan = plan.swapped()
+            coop = cooperate(build_replicated(spec, plan), plan.partition)
+            assert got[n] == coop.Mbar1 + coop.Nbar2 - coop.pattern.structural_cap(spec)
+            checked += 1
+    assert checked == 600
+
+
+#: search_bounds(spec, mu_max=3) per preset: bound, mu, rank, shift table, partition
+SEARCH_PINS = {
+    "counterexample": (Fraction(25, 2), 2, 23,
+                       [[None, 1, 1], [1, None, 1], [1, 1, None]],
+                       [[[1, 1], [2, 1], [3, 1]], [[1, 2], [2, 2], [3, 2]]]),
+    "reduced-example": (Fraction(12), 2, 24,
+                        [[None, 1, 1], [1, None, 1], [1, 1, None]],
+                        [[[1, 1], [2, 1], [3, 1]], [[1, 2], [2, 2], [3, 2]]]),
+    "example-2x3": (Fraction(4), 1, 3,
+                    [[None, 0, 0], [0, None, 0], [0, 0, None]],
+                    [[[1, 1], [2, 1]], [[3, 1]]]),
+    "example-asym": (Fraction(12), 2, 21,
+                     [[None, 1, 0], [0, None, 1], [1, 0, None]],
+                     [[[2, 1], [2, 2], [3, 1]], [[1, 1], [1, 2], [3, 2]]]),
+    "theorem5": (Fraction(5), 1, 5,
+                 [[None, 0, 0], [0, None, 0], [0, 0, None]],
+                 [[[1, 1]], [[2, 1], [3, 1]]]),
+    "theorem6": (Fraction(13, 2), 2, 13,
+                 [[None, 0, 1], [1, None, 0], [0, 1, None]],
+                 [[[1, 1], [1, 2], [3, 1]], [[2, 1], [2, 2], [3, 2]]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_PINS))
+def test_search_pinned_on_presets(name):
+    value, mu, rank, shifts, partition = SEARCH_PINS[name]
+    best = search_bounds(presets.NETWORKS[name](), mu_max=3)
+    assert (best.value, best.mu, best.rank) == (value, mu, rank)
+    assert best.to_json()["plan"] == {"mu": [mu] * 3, "assign": {"shifts": shifts},
+                                      "partition": partition}
+
+
+@pytest.mark.parametrize("kwargs", [{"mu_max": 0}, {"mu_max": 2, "budget": 0}])
+def test_search_rejects_bad_arguments(kwargs):
+    with pytest.raises(InvalidArgument):
+        search_bounds(NetworkSpec.square((2, 2)), **kwargs)
 
 
 # ---------------------------------------------------------------------------
