@@ -16,24 +16,39 @@ special cases.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel_model import ExtendedRealization, NetworkSpec
+from .channel_model import ExtendedRealization, NetworkSpec, _json_int, decode_matrix, encode_matrix
 from .errors import (
+    BadShape,
     ConditionFails,
+    DegenerateDesiredDifference,
     DimensionMismatch,
+    HalfCakeError,
     NotSquareCase,
     NullSpaceEmpty,
-    WrongK,
-    DegenerateDesiredDifference,
 )
-from .exact_linalg import left_null_space_basis, null_space_basis, numerical_rank, rng_from
-from .rank_feasibility import CD_SCHEME_FAMILY, CD_SCHEME_PERMUTATION
+from .exact_linalg import (
+    ScalarDomain,
+    _complex_gaussian,
+    left_null_space_basis,
+    null_space_basis,
+    numerical_rank,
+    rng_from,
+)
+from .rank_feasibility import (
+    _FAMILY_OF,
+    CD_TABLE,
+    _exceeding_candidates,
+    _require_3user_square,
+    _require_failing,
+)
+
+_COMPLEX = ScalarDomain.complex_default()
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,41 +80,30 @@ class LinearScheme:
         return LinearScheme(self.n, tuple(m), tuple(V), tuple(U))
 
     def to_json(self) -> dict:
-        def enc(mat):
-            return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, complex)]
-
         return {
             "n": self.n,
             "users": [
-                {"m": int(mk), "V": enc(vk), "U": enc(uk)}
+                {"m": int(mk), "V": encode_matrix(vk, _COMPLEX), "U": encode_matrix(uk, _COMPLEX)}
                 for mk, vk, uk in zip(self.m, self.V, self.U)
             ],
         }
 
     @classmethod
     def from_json(cls, obj: dict, spec: NetworkSpec) -> "LinearScheme":
-        n = int(obj["n"])
-        users = obj["users"]
-        if len(users) != spec.K:
-            raise DimensionMismatch("scheme user count disagrees with the spec")
-        m, V, U = [], [], []
-        for k, entry in enumerate(users):
-            mk = int(entry["m"])
-            vk = _decode_complex(entry["V"], (spec.M[k] * n, mk))
-            uk = _decode_complex(entry["U"], (mk, spec.N[k] * n))
-            m.append(mk)
-            V.append(vk)
-            U.append(uk)
-        return cls(n, tuple(m), tuple(V), tuple(U))
-
-
-def _decode_complex(obj, shape) -> np.ndarray:
-    mat = np.zeros(shape, dtype=complex)
-    for r in range(shape[0]):
-        for c in range(shape[1]):
-            re, im = obj[r][c]
-            mat[r, c] = complex(re, im)
-    return mat
+        try:
+            n, users = _json_int(obj["n"], "n"), obj["users"]
+            if len(users) != spec.K:
+                raise DimensionMismatch("scheme user count disagrees with the spec")
+            m = tuple(_json_int(entry["m"], "m") for entry in users)
+            if n < 1 or min(m) < 0:
+                raise BadShape(f"need n >= 1 and stream counts m >= 0, got n = {n}, m = {m}")
+            V = tuple(decode_matrix(entry["V"], _COMPLEX, (spec.M[k] * n, m[k]))
+                      for k, entry in enumerate(users))
+            U = tuple(decode_matrix(entry["U"], _COMPLEX, (m[k], spec.N[k] * n))
+                      for k, entry in enumerate(users))
+        except (KeyError, TypeError) as exc:
+            raise BadShape(f"malformed scheme: {exc!r}") from exc
+        return cls(n, m, V, U)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +146,7 @@ def verify_scheme(ext: ExtendedRealization, scheme: LinearScheme, tol: float = 1
         if scheme.U[k].shape != (scheme.m[k], spec.N[k] * scheme.n):
             raise DimensionMismatch(f"U_{k + 1} has shape {scheme.U[k].shape}")
 
+    # a NaN or inf entry yields a NaN residual and desired rank 0, so the check fails
     residuals = {}
     for j in range(spec.K):
         for i in range(spec.K):
@@ -152,10 +157,10 @@ def verify_scheme(ext: ExtendedRealization, scheme: LinearScheme, tol: float = 1
             scale = (
                 np.linalg.norm(scheme.U[j]) * np.linalg.norm(H) * np.linalg.norm(scheme.V[i])
             )
-            residuals[(j, i)] = float(np.linalg.norm(R) / scale) if scale > 0 else 0.0
+            residuals[(j, i)] = float(np.linalg.norm(R) / scale) if scale != 0 else 0.0
     desired = tuple(
-        numerical_rank(scheme.U[k] @ ext.extended_block(k, k) @ scheme.V[k], rank_tol)
-        for k in range(spec.K)
+        numerical_rank(P, rank_tol) if np.isfinite(P).all() else 0
+        for P in (scheme.U[k] @ ext.extended_block(k, k) @ scheme.V[k] for k in range(spec.K))
     )
     passed = all(r <= tol for r in residuals.values()) and desired == scheme.m
     return VerificationReport(residuals, desired, scheme.m, passed,
@@ -171,10 +176,6 @@ def _rng(seed, *tags) -> np.random.Generator:
     return rng_from(seed, 0xA5, *tags)
 
 
-def _cgauss(rng, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2)
-
-
 def _pick_in_span(basis: np.ndarray, count: int, rng, what: str) -> np.ndarray:
     """``count`` generic columns inside the span of ``basis`` columns."""
     width = basis.shape[1]
@@ -182,7 +183,7 @@ def _pick_in_span(basis: np.ndarray, count: int, rng, what: str) -> np.ndarray:
         raise NullSpaceEmpty(f"{what}: null space width {width} < required {count}")
     if width == count == 0:
         return np.zeros((basis.shape[0], 0), dtype=complex)
-    return basis @ _cgauss(rng, width, count)
+    return basis @ _complex_gaussian(rng, width, count)
 
 
 def _pick_left_null_rows(mat: np.ndarray, count: int, rng, what: str) -> np.ndarray:
@@ -192,7 +193,7 @@ def _pick_left_null_rows(mat: np.ndarray, count: int, rng, what: str) -> np.ndar
         raise NullSpaceEmpty(f"{what}: left null space width {rows.shape[0]} < required {count}")
     if count == 0:
         return np.zeros((0, mat.shape[0]), dtype=complex)
-    return _cgauss(rng, count, rows.shape[0]) @ rows
+    return _complex_gaussian(rng, count, rows.shape[0]) @ rows
 
 
 def _tx_fresh_repeat(v: Optional[np.ndarray], E: np.ndarray) -> np.ndarray:
@@ -261,14 +262,10 @@ def scheme_cd7(ext: ExtendedRealization, seed: int = 0) -> LinearScheme:
     D_12 + D_21 < M_1 + M_2 - M_3 (1-based user labels).
     """
     spec = ext.spec
-    if spec.K != 3:
-        raise WrongK("aligned-pair construction is stated for 3 users")
-    if not spec.is_square:
-        raise NotSquareCase("aligned-pair construction needs square desired channels")
+    _require_3user_square(spec)
     _require_pair_extension(ext)
+    _require_failing(spec, "aligned-pair")
     M = spec.M
-    if spec.D[0][1] + spec.D[1][0] >= M[0] + M[1] - M[2]:
-        raise ConditionFails("need D_12 + D_21 < M_1 + M_2 - M_3")
     B = ext.slots[0].blocks
     H10, H01 = B[(1, 0)], B[(0, 1)]
     H20, H21 = B[(2, 0)], B[(2, 1)]
@@ -294,8 +291,8 @@ def scheme_cd7(ext: ExtendedRealization, seed: int = 0) -> LinearScheme:
                        "user-3 repeated streams")
     U3e = _pick_left_null_rows((H21 @ v2).reshape(-1, 1), M[2] - 1, rng, "user-3 filters")
 
-    E1, E2 = _cgauss(rng, M[0], M[0] - 1), _cgauss(rng, M[1], M[1] - 1)
-    U1e, U2e = _cgauss(rng, M[0] - 1, M[0]), _cgauss(rng, M[1] - 1, M[1])
+    E1, E2 = _complex_gaussian(rng, M[0], M[0] - 1), _complex_gaussian(rng, M[1], M[1] - 1)
+    U1e, U2e = _complex_gaussian(rng, M[0] - 1, M[0]), _complex_gaussian(rng, M[1] - 1, M[1])
 
     V = (_tx_fresh_repeat(v1, E1), _tx_fresh_repeat(v2, E2), _tx_fresh_repeat(None, E3))
     U = (_rx_fresh_repeat(u1, U1e), _rx_fresh_repeat(u2, U2e), _rx_fresh_repeat(None, U3e))
@@ -312,16 +309,10 @@ def scheme_cd1(ext: ExtendedRealization, seed: int = 0) -> LinearScheme:
     user labels).
     """
     spec = ext.spec
-    if spec.K != 3:
-        raise WrongK("zero-forcing construction is stated for 3 users")
-    if not spec.is_square:
-        raise NotSquareCase("zero-forcing construction needs square desired channels")
+    _require_3user_square(spec)
     _require_pair_extension(ext)
+    _require_failing(spec, "zero-forcing")
     M = spec.M
-    if spec.D[1][0] + spec.D[2][0] >= M[0]:
-        raise ConditionFails("need D_21 + D_31 < M_1 on the transmit side")
-    if spec.D[0][1] + spec.D[0][2] >= M[0]:
-        raise ConditionFails("need D_12 + D_13 < M_1 on the receive side")
     B = ext.slots[0].blocks
     rng = _rng(seed, 11)
     v1 = _pick_in_span(null_space_basis(np.vstack([B[(1, 0)], B[(2, 0)]])), 1, rng,
@@ -329,13 +320,13 @@ def scheme_cd1(ext: ExtendedRealization, seed: int = 0) -> LinearScheme:
     u1 = _pick_left_null_rows(np.hstack([B[(0, 1)], B[(0, 2)]]), 1, rng,
                               "interference-free filter row")[0]
 
-    E1 = _cgauss(rng, M[0], M[0] - 1)
-    U1e = _cgauss(rng, M[0] - 1, M[0])
+    E1 = _complex_gaussian(rng, M[0], M[0] - 1)
+    U1e = _complex_gaussian(rng, M[0] - 1, M[0])
     V = [_tx_fresh_repeat(v1, E1)]
     U = [_rx_fresh_repeat(u1, U1e)]
     for k in (1, 2):
-        Q = _cgauss(rng, M[k], M[k])
-        W = _cgauss(rng, M[k], M[k])
+        Q = _complex_gaussian(rng, M[k], M[k])
+        W = _complex_gaussian(rng, M[k], M[k])
         V.append(np.vstack([Q, Q]))
         U.append(np.hstack([W, -W]))
     return LinearScheme(2, (M[0] + 1, M[1], M[2]), tuple(V), tuple(U))
@@ -349,10 +340,14 @@ def scheme_for_cd_violation(ext: ExtendedRealization, violated: str, seed: int =
     canonical position, builds the aligned-pair or zero-forcing scheme
     there, and returns the scheme in the original user order.
     """
-    perm = CD_SCHEME_PERMUTATION[violated]
-    builder = scheme_cd7 if CD_SCHEME_FAMILY[violated] == "aligned-pair" else scheme_cd1
-    permuted = builder(ext.permute(perm), seed=seed)
-    return permuted.reordered(perm)
+    perm, kind = CD_TABLE[violated]
+    return _build(ext, perm, _FAMILY_OF[kind], seed)
+
+
+def _build(ext: ExtendedRealization, perm, family: str, seed: int) -> LinearScheme:
+    """Build ``family``'s scheme on the relabeled extension, in the original user order."""
+    builder = scheme_cd7 if family == "aligned-pair" else scheme_cd1
+    return builder(ext.permute(perm), seed=seed).reordered(perm)
 
 
 _COUNTEREXAMPLE_M = (10, 8, 6)
@@ -413,7 +408,7 @@ def example2_scheme(ext: ExtendedRealization, seed: int = 0) -> LinearScheme:
         covering = np.linalg.solve(H21, H23 @ V3)
     except np.linalg.LinAlgError as exc:
         raise NullSpaceEmpty("desired-covering solve hit a singular link") from exc
-    V1 = np.hstack([covering, _cgauss(rng, 10, 5)])
+    V1 = np.hstack([covering, _complex_gaussian(rng, 10, 5)])
 
     U1 = _pick_left_null_rows(np.hstack([H12 @ V2, H13 @ V3]), 7, rng, "receiver-1 filters")
     U2 = _pick_left_null_rows(np.hstack([H21 @ V1, H23 @ V3]), 3, rng, "receiver-2 filters")
@@ -428,23 +423,12 @@ def best_exceeding_scheme(ext: ExtendedRealization, seed: int = 0
     The aligned-pair condition does not need symmetric ranks, so this also
     covers asymmetric specs; returns None when neither family applies.
     """
-    from itertools import permutations
-
-    from .errors import HalfCakeError
-
     spec = ext.spec
     if spec.K != 3 or not spec.is_square:
         return None
-    candidates = []
-    for perm in permutations(range(3)):
-        ps = spec.permute(perm)
-        if ps.D[0][1] + ps.D[1][0] < ps.M[0] + ps.M[1] - ps.M[2]:
-            candidates.append((perm, scheme_cd7, "aligned-pair"))
-        if ps.D[1][0] + ps.D[2][0] < ps.M[0] and ps.D[0][1] + ps.D[0][2] < ps.M[0]:
-            candidates.append((perm, scheme_cd1, "zero-forcing"))
-    for perm, builder, family in candidates:
+    for perm, family in _exceeding_candidates(spec):
         try:
-            scheme = builder(ext.permute(perm), seed=seed).reordered(perm)
+            scheme = _build(ext, perm, family, seed)
         except HalfCakeError:
             continue
         if verify_scheme(ext, scheme).passed:

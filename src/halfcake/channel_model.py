@@ -12,7 +12,6 @@ deterministic in (spec, seed, domain).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -21,14 +20,15 @@ import numpy as np
 
 from .errors import (
     BadShape,
-    CertificateInfeasible,
     DegenerateDesiredDifference,
     NotSquareCase,
     RankExceedsDimension,
 )
 from .exact_linalg import (
+    BlockPattern,
     ScalarDomain,
-    matmul_mod_p,
+    _place_blocks,
+    _sample_block,
     numerical_rank,
     rank_mod_p,
     rng_from,
@@ -133,17 +133,24 @@ class NetworkSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "NetworkSpec":
         try:
-            M = tuple(int(v) for v in obj["M"])
-            N = tuple(int(v) for v in obj["N"])
+            M = tuple(_json_int(v, "M") for v in obj["M"])
+            N = tuple(_json_int(v, "N") for v in obj["N"])
             D = tuple(
-                tuple(None if v is None else int(v) for v in row) for row in obj["D"]
+                tuple(None if v is None else _json_int(v, "D") for v in row) for row in obj["D"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise BadShape(f"malformed network spec: {exc}") from exc
         spec = cls(M, N, D)
-        if "K" in obj and int(obj["K"]) != spec.K:
+        if "K" in obj and _json_int(obj["K"], "K") != spec.K:
             raise BadShape("declared K disagrees with M length")
         return validate_spec(spec)
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer; floats, bools, strings and the like raise BadShape."""
+    if type(value) is not int:
+        raise BadShape(f"{what}: expected an integer, got {value!r}")
+    return value
 
 
 def validate_spec(spec: NetworkSpec) -> NetworkSpec:
@@ -214,45 +221,34 @@ class ChannelRealization:
 
 
 def encode_matrix(mat: np.ndarray, domain: ScalarDomain):
+    """JSON rows: ``[re, im]`` pairs over the complex domain, residues over a prime field."""
     if domain.is_complex:
         return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, complex)]
     return [[int(v) for v in row] for row in np.asarray(mat)]
 
 
 def decode_matrix(obj, domain: ScalarDomain, shape: Tuple[int, int]) -> np.ndarray:
+    """Inverse of ``encode_matrix``.
+
+    Raises BadShape on a wrong shape, a complex entry that is not an
+    ``[re, im]`` pair of finite numbers, or a residue outside [0, p).
+    """
     rows, cols = shape
-    if domain.is_complex:
-        mat = np.zeros(shape, dtype=complex)
-        for r in range(rows):
-            for c in range(cols):
-                re, im = obj[r][c]
-                mat[r, c] = complex(re, im)
-        return mat
-    mat = np.array(obj, dtype=np.int64) if rows and cols else np.zeros(shape, np.int64)
-    if mat.shape != shape:
-        raise BadShape(f"block shape {mat.shape} != expected {shape}")
-    return mat
-
-
-def _complex_iid(rng, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2)
-
-
-def _sample_block(rng, rows: int, cols: int, bound: int, domain: ScalarDomain) -> np.ndarray:
-    if domain.is_complex:
-        if bound <= 0:
-            return np.zeros((rows, cols), dtype=complex)
-        if bound >= min(rows, cols):
-            return _complex_iid(rng, rows, cols)
-        return _complex_iid(rng, rows, bound) @ _complex_iid(rng, bound, cols)
-    p = domain.p
-    if bound <= 0:
-        return np.zeros((rows, cols), dtype=np.int64)
-    if bound >= min(rows, cols):
-        return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
-    left = rng.integers(0, p, size=(rows, bound), dtype=np.int64)
-    right = rng.integers(0, p, size=(bound, cols), dtype=np.int64)
-    return matmul_mod_p(left, right, p)
+    if not (isinstance(obj, list) and len(obj) == rows
+            and all(isinstance(row, list) and len(row) == cols for row in obj)):
+        raise BadShape(f"matrix is not {rows} rows of {cols} entries")
+    if not domain.is_complex:
+        flat = [x for row in obj for x in row]
+        if not all(type(x) is int and 0 <= x < domain.p for x in flat):
+            raise BadShape(f"prime-field entries must be integers in [0, {domain.p})")
+        return np.array(flat, dtype=np.int64).reshape(shape)
+    try:
+        mat = np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadShape(f"complex entries must be [re, im] number pairs: {exc}") from exc
+    if not np.isfinite(mat).all():
+        raise BadShape("complex entries must be finite")
+    return mat.reshape(shape)
 
 
 def sample_generic(spec: NetworkSpec, seed: int = 0,
@@ -260,12 +256,13 @@ def sample_generic(spec: NetworkSpec, seed: int = 0,
                    _salt: int = 0) -> ChannelRealization:
     """Generic realization: cross blocks hit their rank budgets almost surely."""
     validate_spec(spec)
+    p = None if domain.is_complex else domain.p
     blocks = {}
     for j in range(spec.K):
         for i in range(spec.K):
             rng = rng_from(seed, 0xC4, _salt, j, i)
             bound = min(spec.M[i], spec.N[j]) if i == j else spec.D[j][i]
-            blocks[(j, i)] = _sample_block(rng, spec.N[j], spec.M[i], bound, domain)
+            blocks[(j, i)] = _sample_block(rng, spec.N[j], spec.M[i], bound, p)
     return ChannelRealization(spec, domain, blocks, seed)
 
 
@@ -291,14 +288,8 @@ class BlockMatrix:
 def assemble(real: ChannelRealization, zero_desired: bool = False) -> BlockMatrix:
     """Stack all blocks into the overall N_sigma x M_sigma matrix."""
     spec = real.spec
-    dtype = complex if real.domain.is_complex else np.int64
-    data = np.zeros((spec.N_sigma, spec.M_sigma), dtype=dtype)
-    r_off = np.concatenate([[0], np.cumsum(spec.N)]).astype(int)
-    c_off = np.concatenate([[0], np.cumsum(spec.M)]).astype(int)
-    for (j, i), blk in real.blocks.items():
-        if zero_desired and i == j:
-            continue
-        data[r_off[j]: r_off[j + 1], c_off[i]: c_off[i + 1]] = blk
+    entries = {(j, i): (j, i) for (j, i) in real.blocks if not (zero_desired and i == j)}
+    data = _place_blocks(BlockPattern(spec.N, spec.M, entries), real.blocks, real.domain.dtype)
     return BlockMatrix(tuple(spec.N), tuple(spec.M), data, real.domain)
 
 
@@ -321,39 +312,25 @@ def canonical_realization(spec: NetworkSpec, cert,
     block (j, i) then has rank exactly cert[j][i] and every antenna is used
     exactly once, so the stripped matrix has full rank.
     """
+    from .rank_feasibility import ReducedRankCertificate, validate_certificate  # circular import
+
     if not spec.is_square:
         raise NotSquareCase("canonical construction is defined for the square case")
     K = spec.K
-    Db = cert.reduced_ranks if hasattr(cert, "reduced_ranks") else cert
-    for i in range(K):
-        out = sum(Db[j][i] for j in range(K) if j != i)
-        into = sum(Db[i][j] for j in range(K) if j != i)
-        if out != spec.M[i] or into != spec.M[i]:
-            raise CertificateInfeasible(
-                f"certificate sums at user {i + 1} are ({into}, {out}), need {spec.M[i]}"
-            )
-        for j in range(K):
-            if j != i and Db[j][i] > spec.D[j][i]:
-                raise CertificateInfeasible(
-                    f"certificate entry ({j + 1},{i + 1}) exceeds the rank constraint"
-                )
+    if not hasattr(cert, "reduced_ranks"):
+        cert = ReducedRankCertificate.from_rows(cert)
+    Db = validate_certificate(spec, cert).reduced_ranks
 
-    dtype = complex if domain.is_complex else np.int64
-    # receive-side segment offsets: at receiver i, order j = i+1, ..., i+K-1
-    rx_start = {}
-    for i in range(K):
-        pos = 0
+    dtype = domain.dtype
+    # segment offsets: at receiver a the segments run over transmitters
+    # b = a+1, ..., a+K-1, at transmitter a over receivers b in the same order
+    rx_start, tx_start = {}, {}
+    for a in range(K):
+        rx_pos = tx_pos = 0
         for step in range(1, K):
-            j = (i + step) % K
-            rx_start[(i, j)] = pos
-            pos += Db[i][j]
-    tx_start = {}
-    for j in range(K):
-        pos = 0
-        for step in range(1, K):
-            i = (j + step) % K
-            tx_start[(i, j)] = pos
-            pos += Db[i][j]
+            b = (a + step) % K
+            rx_start[(a, b)], rx_pos = rx_pos, rx_pos + Db[a][b]
+            tx_start[(b, a)], tx_pos = tx_pos, tx_pos + Db[b][a]
 
     blocks = {}
     for j in range(K):
@@ -395,8 +372,7 @@ class ExtendedRealization:
     def extended_block(self, j: int, i: int) -> np.ndarray:
         """Block-diagonal n*N_j x n*M_i matrix of link (j, i)."""
         spec = self.spec
-        dtype = complex if self.domain.is_complex else np.int64
-        out = np.zeros((self.n * spec.N[j], self.n * spec.M[i]), dtype=dtype)
+        out = np.zeros((self.n * spec.N[j], self.n * spec.M[i]), dtype=self.domain.dtype)
         for t, slot in enumerate(self.slots):
             out[t * spec.N[j]: (t + 1) * spec.N[j], t * spec.M[i]: (t + 1) * spec.M[i]] = \
                 slot.blocks[(j, i)]
@@ -461,25 +437,17 @@ def extend_ergodic_pair(spec: NetworkSpec, seed: int = 0,
     """
     validate_spec(spec)
     base = sample_generic(spec, seed, domain)
+    p = None if domain.is_complex else domain.p
     for attempt in range(32):
-        second = {}
-        ok = True
+        blocks2 = dict(base.blocks)
         for k in range(spec.K):
             rng = rng_from(seed, 0xE2, attempt, k)
-            blk = _sample_block(rng, spec.N[k], spec.M[k], min(spec.M[k], spec.N[k]), domain)
+            full = min(spec.M[k], spec.N[k])
+            blk = _sample_block(rng, spec.N[k], spec.M[k], full, p)
             diff = base.blocks[(k, k)] - blk
-            if domain.is_complex:
-                full = numerical_rank(diff, domain.tol) == min(spec.M[k], spec.N[k])
-            else:
-                full = rank_mod_p(diff % domain.p, domain.p) == min(spec.M[k], spec.N[k])
-            if not full:
-                ok = False
+            if (numerical_rank(diff, domain.tol) if p is None else rank_mod_p(diff % p, p)) != full:
                 break
-            second[(k, k)] = blk if domain.is_complex else blk % domain.p
-        if not ok:
-            continue
-        blocks2 = dict(base.blocks)
-        blocks2.update(second)
-        slot2 = ChannelRealization(spec, domain, blocks2, seed)
-        return ExtendedRealization((base, slot2))
+            blocks2[(k, k)] = blk if p is None else blk % p
+        else:
+            return ExtendedRealization((base, ChannelRealization(spec, domain, blocks2, seed)))
     raise DegenerateDesiredDifference("could not sample a full-rank desired difference")

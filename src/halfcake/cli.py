@@ -29,7 +29,7 @@ from .channel_model import (
     sample_generic,
     single_slot,
 )
-from .errors import HalfCakeError, UnknownTarget
+from .errors import HalfCakeError, InvalidArgument, UnknownTarget
 from .exact_linalg import ScalarDomain, generic_rank
 from .rank_feasibility import (
     feasibility_evidence,
@@ -298,6 +298,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.trials < 1:
+            raise InvalidArgument(f"--trials must be >= 1, got {args.trials}")
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

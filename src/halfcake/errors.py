@@ -75,8 +75,8 @@ class UnknownTarget(HalfCakeError):
     """Unrecognized reproduction target name."""
 
 
-class InvalidArgument(HalfCakeError):
-    """A numeric argument lies outside its valid range."""
+class InvalidArgument(HalfCakeError, ValueError):
+    """An argument lies outside its valid range or set of choices."""
 
 
 class InconsistentBound(HalfCakeError):

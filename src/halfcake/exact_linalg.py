@@ -16,11 +16,12 @@ singular-value tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
-from .errors import NotSquare
+from .errors import InvalidArgument, NotSquare
 
 MERSENNE61 = (1 << 61) - 1
 #: largest prime whose elimination fits int64 arithmetic (products < 2**62)
@@ -85,12 +86,12 @@ class ScalarDomain:
     def __post_init__(self):
         if self.kind == "complex":
             if not self.tol > 0:
-                raise ValueError("complex domain needs a positive tolerance")
+                raise InvalidArgument("complex domain needs a positive tolerance")
         elif self.kind == "prime":
             if self.p is None or self.p <= (1 << 32) or not is_prime(self.p):
-                raise ValueError("prime domain needs a prime p > 2**32")
+                raise InvalidArgument(f"prime domain needs a prime p > 2**32, got {self.p}")
         else:
-            raise ValueError(f"unknown scalar domain kind {self.kind!r}")
+            raise InvalidArgument(f"unknown scalar domain kind {self.kind!r}")
 
     @classmethod
     def complex_default(cls, tol: float = 1e-9) -> "ScalarDomain":
@@ -105,17 +106,22 @@ class ScalarDomain:
         return self.kind == "complex"
 
     @property
+    def dtype(self):
+        return complex if self.is_complex else np.int64
+
+    @property
     def tag(self) -> str:
         return "complex" if self.is_complex else f"prime:{self.p}"
 
     @classmethod
     def from_tag(cls, tag: str) -> "ScalarDomain":
+        """Parse ``complex``, ``prime`` or ``prime:<p>``."""
+        kind, colon, rest = str(tag).partition(":")
         if tag == "complex":
             return cls.complex_default()
-        if tag.startswith("prime"):
-            _, _, rest = tag.partition(":")
-            return cls.prime_default(int(rest)) if rest else cls.prime_default()
-        raise ValueError(f"unknown domain tag {tag!r}")
+        if kind == "prime" and (not colon or rest.isdigit()):
+            return cls.prime_default(int(rest)) if colon else cls.prime_default()
+        raise InvalidArgument(f"unknown domain tag {tag!r}; use complex or prime[:p]")
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +185,7 @@ def numerical_rank(mat, tol: float = 1e-9) -> int:
     A = np.asarray(mat)
     if A.ndim != 2 or 0 in A.shape:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
+    s = np.linalg.svd(A, compute_uv=False)  # descending; all-zero s counts 0
     return int(np.count_nonzero(s > tol * s[0]))
 
 
@@ -203,7 +207,7 @@ def null_space_basis(mat, tol: float = 1e-9) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    r = 0 if (s.size == 0 or s[0] == 0) else int(np.count_nonzero(s > tol * s[0]))
+    r = int(np.count_nonzero(s > tol * s[0]))
     return vh[r:].conj().T
 
 
@@ -236,13 +240,10 @@ class BlockPattern:
         return (sum(self.row_sizes), sum(self.col_sizes))
 
     def block_slices(self):
-        r_off = np.concatenate([[0], np.cumsum(self.row_sizes)]).astype(int)
-        c_off = np.concatenate([[0], np.cumsum(self.col_sizes)]).astype(int)
-        return r_off, c_off
+        return _offsets(self.row_sizes), _offsets(self.col_sizes)
 
     def structural_cap(self, spec) -> int:
         """Cheap upper bound on the generic rank from per-block rank budgets."""
-        r_off, c_off = self.block_slices()
         row_budget = [0] * len(self.row_sizes)
         col_budget = [0] * len(self.col_sizes)
         for (r, c), (j, i) in self.entries.items():
@@ -254,41 +255,66 @@ class BlockPattern:
         return min(rows, cols, *self.shape)
 
 
+def _offsets(sizes) -> tuple:
+    """Start offsets of consecutive blocks, plus the total: (0, s0, s0 + s1, ...)."""
+    return tuple(accumulate(sizes, initial=0))
+
+
+def _place_blocks(pattern: BlockPattern, blocks: dict, dtype) -> np.ndarray:
+    """Dense matrix of ``pattern`` with each entry's reference looked up in ``blocks``."""
+    out = np.zeros(pattern.shape, dtype=dtype)
+    r_off, c_off = pattern.block_slices()
+    for (r, c), ref in pattern.entries.items():
+        out[r_off[r] : r_off[r + 1], c_off[c] : c_off[c + 1]] = blocks[ref]
+    return out
+
+
 def _block_rank_bound(spec, j: int, i: int) -> int:
     if i == j:
         return min(spec.M[i], spec.N[j])
     return spec.D[j][i]
 
 
-def _sample_block_mod_p(rng, rows: int, cols: int, bound: int, p: int) -> np.ndarray:
+def _complex_gaussian(rng, rows: int, cols: int) -> np.ndarray:
+    """I.i.d. circularly symmetric unit-variance complex Gaussian entries."""
+    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
+
+
+def _sample_block(rng, rows: int, cols: int, bound: int, p: Optional[int]) -> np.ndarray:
+    """Random block whose rank is ``bound`` almost surely (capped by its shape).
+
+    Complex Gaussian when ``p`` is None, else uniform residues mod p; below
+    full rank the block is a product of two such factors.
+    """
+    def draw(r, c):
+        if p is None:
+            return _complex_gaussian(rng, r, c)
+        return rng.integers(0, p, size=(r, c), dtype=np.int64)
+
     if bound <= 0 or rows == 0 or cols == 0:
-        return np.zeros((rows, cols), dtype=np.int64)
+        return np.zeros((rows, cols), dtype=complex if p is None else np.int64)
     if bound >= min(rows, cols):
-        return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
-    left = rng.integers(0, p, size=(rows, bound), dtype=np.int64)
-    right = rng.integers(0, p, size=(bound, cols), dtype=np.int64)
-    return matmul_mod_p(left, right, p)
+        return draw(rows, cols)
+    if p is None:
+        return draw(rows, bound) @ draw(bound, cols)
+    return matmul_mod_p(draw(rows, bound), draw(bound, cols), p)
 
 
 def instantiate_pattern(spec, pattern: BlockPattern, rng, p: int = MERSENNE61) -> np.ndarray:
     """One random prime-field instantiation of a block pattern (int64 matrix)."""
     refs = sorted(set(pattern.entries.values()))
     sampled = {
-        (j, i): _sample_block_mod_p(rng, spec.N[j], spec.M[i], _block_rank_bound(spec, j, i), p)
+        (j, i): _sample_block(rng, spec.N[j], spec.M[i], _block_rank_bound(spec, j, i), p)
         for (j, i) in refs
     }
-    out = np.zeros(pattern.shape, dtype=np.int64)
-    r_off, c_off = pattern.block_slices()
-    for (r, c), ref in pattern.entries.items():
-        out[r_off[r] : r_off[r + 1], c_off[c] : c_off[c + 1]] = sampled[ref]
-    return out
+    return _place_blocks(pattern, sampled, np.int64)
 
 
 def generic_rank_pattern(spec, pattern: BlockPattern, trials: int = 8, seed: int = 0,
                          p: int = MERSENNE61) -> int:
     """Generic rank of a block pattern: max exact rank over seeded trials."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidArgument(f"trials must be >= 1, got {trials}")
     cap = pattern.structural_cap(spec)
     best = 0
     for t in range(trials):
@@ -368,18 +394,16 @@ class StructuredMatrix:
     def evaluate(self, rng, extra_zeroed=frozenset()) -> np.ndarray:
         """Random evaluation of the free coefficients (object-int matrix mod p)."""
         spec, p = self.spec, self.p
-        out = np.zeros((sum(spec.N), sum(spec.M)), dtype=object)
-        r_off = np.concatenate([[0], np.cumsum(spec.N)]).astype(int)
-        c_off = np.concatenate([[0], np.cumsum(spec.M)]).astype(int)
         dead = self.zeroed | set(extra_zeroed)
+        blocks = {}
         for (j, i), (V, U) in sorted(self.factors.items()):
             d = spec.D[j][i]
             coeffs = rng.integers(0, p, size=d, dtype=np.int64)
             a = np.array([0 if (j, i, m) in dead else int(coeffs[m]) for m in range(d)],
                          dtype=object)
-            block = np.dot(V * a[None, :], U) % p
-            out[r_off[j] : r_off[j + 1], c_off[i] : c_off[i + 1]] = block
-        return out
+            blocks[(j, i)] = np.dot(V * a[None, :], U) % p
+        pattern = BlockPattern(spec.N, spec.M, {key: key for key in blocks})
+        return _place_blocks(pattern, blocks, object)
 
 
 def det_nonzero_with_var_zeroed(struct: StructuredMatrix, var, trials: int = 8,

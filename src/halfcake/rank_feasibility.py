@@ -192,9 +192,9 @@ def feasibility_evidence(spec: NetworkSpec) -> dict:
 
 def _require_3user_square(spec: NetworkSpec):
     if spec.K != 3:
-        raise WrongK("this condition is stated for 3 users")
+        raise WrongK("3-user conditions and schemes need exactly 3 users")
     if not spec.is_square:
-        raise NotSquareCase("this condition is stated for the square case")
+        raise NotSquareCase("3-user conditions and schemes need the square case M == N")
 
 
 def check_condition_eq5(spec: NetworkSpec) -> bool:
@@ -206,39 +206,66 @@ def check_condition_eq5(spec: NetworkSpec) -> bool:
     return first + second >= sum(M)
 
 
-#: 0-based (lhs pairs, rhs antenna expression) for the nine expanded inequalities
-_CD_TABLE = {
-    "cd1": (((0, 1), (0, 2)), (1, 0, 0)),
-    "cd2": (((1, 0), (1, 2)), (0, 1, 0)),
-    "cd3": (((2, 0), (2, 1)), (0, 0, 1)),
-    "cd4": (((1, 0), (2, 0)), (1, 0, 0)),
-    "cd5": (((0, 1), (2, 1)), (0, 1, 0)),
-    "cd6": (((0, 2), (1, 2)), (0, 0, 1)),
-    "cd7": (((0, 1), (1, 0)), (1, 1, -1)),
-    "cd8": (((1, 2), (2, 1)), (-1, 1, 1)),
-    "cd9": (((0, 2), (2, 0)), (1, -1, 1)),
+# Every 3-user inequality of Theorem 4 is one of three canonical ones, read
+# on a relabeled spec (perm[new] = old, 0-based users):
+#   rx:   D_01 + D_02 >= M_0              receiver 0's inbound cross ranks
+#   tx:   D_10 + D_20 >= M_0              transmitter 0's outbound cross ranks
+#   pair: D_01 + D_10 >= M_0 + M_1 - M_2  the pair (0, 1) against user 2
+# _CANONICAL holds them as (lhs cross links (j, i), rhs coefficients on M)
+# and CD_TABLE names the nine relabelings.  A scheme family beats half the
+# cake on a relabeling where all of its SCHEME_FAMILIES entries fail: the
+# aligned pair (scheme_cd7) when pair fails, double zero-forcing
+# (scheme_cd1) when tx and rx both fail.
+_CANONICAL = {
+    "rx": (((0, 1), (0, 2)), (1, 0, 0)),
+    "tx": (((1, 0), (2, 0)), (1, 0, 0)),
+    "pair": (((0, 1), (1, 0)), (1, 1, -1)),
 }
 
-#: violated inequality -> user relabeling (perm[new] = old) for the scheme builders
-CD_SCHEME_PERMUTATION = {
-    "cd1": (0, 1, 2), "cd2": (1, 2, 0), "cd3": (2, 0, 1),
-    "cd4": (0, 1, 2), "cd5": (1, 2, 0), "cd6": (2, 0, 1),
-    "cd7": (0, 1, 2), "cd8": (1, 2, 0), "cd9": (0, 2, 1),
+#: inequality name -> (user relabeling perm[new] = old, canonical inequality)
+CD_TABLE = {
+    "cd1": ((0, 1, 2), "rx"), "cd2": ((1, 2, 0), "rx"), "cd3": ((2, 0, 1), "rx"),
+    "cd4": ((0, 1, 2), "tx"), "cd5": ((1, 2, 0), "tx"), "cd6": ((2, 0, 1), "tx"),
+    "cd7": ((0, 1, 2), "pair"), "cd8": ((1, 2, 0), "pair"), "cd9": ((0, 2, 1), "pair"),
 }
 
-CD_SCHEME_FAMILY = {name: ("aligned-pair" if name in ("cd7", "cd8", "cd9") else "zero-forcing")
-                    for name in _CD_TABLE}
+#: scheme family -> canonical inequalities that must all fail for it to apply
+SCHEME_FAMILIES = {"aligned-pair": ("pair",), "zero-forcing": ("tx", "rx")}
+
+_FAMILY_OF = {kind: family for family, kinds in SCHEME_FAMILIES.items() for kind in kinds}
+
+
+def _canonical(spec: NetworkSpec, kind: str, perm=(0, 1, 2)) -> Tuple[int, int, bool]:
+    """(lhs, rhs, holds) of one canonical inequality on ``spec.permute(perm)``."""
+    pairs, coeffs = _CANONICAL[kind]
+    lhs = sum(spec.cross_rank(perm[j], perm[i]) for j, i in pairs)
+    rhs = sum(c * spec.M[perm[k]] for k, c in enumerate(coeffs))
+    return lhs, rhs, lhs >= rhs
+
+
+def _require_failing(spec: NetworkSpec, family: str) -> None:
+    """ConditionFails unless every inequality behind ``family`` fails on ``spec``."""
+    for kind in SCHEME_FAMILIES[family]:
+        lhs, rhs, holds = _canonical(spec, kind)
+        if holds:
+            pairs, coeffs = _CANONICAL[kind]
+            links = " + ".join(f"D_{j + 1}{i + 1}" for j, i in pairs)
+            antennas = " ".join(f"{'+-'[c < 0]} M_{k + 1}" for k, c in enumerate(coeffs) if c)
+            raise ConditionFails(f"{family} scheme needs {links} < {antennas[2:]}, "
+                                 f"got {lhs} >= {rhs}")
+
+
+def _exceeding_candidates(spec: NetworkSpec) -> List[Tuple[Tuple[int, ...], str]]:
+    """(relabeling, family) of every scheme that applies, by permutation, aligned pair first."""
+    return [(perm, family) for perm in permutations(range(3))
+            for family, kinds in SCHEME_FAMILIES.items()
+            if not any(_canonical(spec, kind, perm)[2] for kind in kinds)]
 
 
 def evaluate_cd_inequalities(spec: NetworkSpec) -> Dict[str, Tuple[int, int, bool]]:
     """Each inequality as (lhs, rhs, holds)."""
     _require_3user_square(spec)
-    out = {}
-    for name, (pairs, coeffs) in _CD_TABLE.items():
-        lhs = sum(spec.cross_rank(j, i) for j, i in pairs)
-        rhs = sum(c * m for c, m in zip(coeffs, spec.M))
-        out[name] = (lhs, rhs, lhs >= rhs)
-    return out
+    return {name: _canonical(spec, kind, perm) for name, (perm, kind) in CD_TABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -257,7 +284,7 @@ def classify_symmetric_3user(spec: NetworkSpec) -> SymmetricClassification:
     for name in sorted(evaluated):
         if not evaluated[name][2]:
             return SymmetricClassification(
-                "EXCEEDS_HALF_CAKE", violated=name, scheme_family=CD_SCHEME_FAMILY[name]
+                "EXCEEDS_HALF_CAKE", violated=name, scheme_family=_FAMILY_OF[CD_TABLE[name][1]]
             )
     return SymmetricClassification("HALF_CAKE_OPTIMAL")
 
@@ -485,14 +512,8 @@ def boundary_case_verdict(spec: NetworkSpec) -> HalfCakeVerdict:
 
 def _exceeding_scheme_notes(spec: NetworkSpec) -> List[str]:
     """Scheme families applicable even without symmetric ranks."""
-    notes = []
-    M, D = spec.M, spec.D
-    if any(D[a][b] + D[b][a] < M[a] + M[b] - M[c] for a, b, c in permutations(range(3))):
-        notes.append("aligned-pair-scheme-available")
-    if any(D[b][a] + D[c][a] < M[a] and D[a][b] + D[a][c] < M[a]
-           for a, b, c in permutations(range(3))):
-        notes.append("zero-forcing-scheme-available")
-    return notes
+    found = {family for _, family in _exceeding_candidates(spec)}
+    return [f"{family}-scheme-available" for family in SCHEME_FAMILIES if family in found]
 
 
 def half_cake_verdict(spec: NetworkSpec, seed: int = 0, trials: int = 8) -> HalfCakeVerdict:

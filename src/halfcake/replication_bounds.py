@@ -33,6 +33,7 @@ from .errors import (
 from .exact_linalg import (
     MERSENNE61,
     BlockPattern,
+    _place_blocks,
     generic_rank_pattern,
     numerical_rank,
     rank_mod_p,
@@ -102,7 +103,7 @@ class ReplicationPlan:
     def to_json(self) -> dict:
         shifts = _as_shift_table(self)
         assign_json = (
-            {"shifts": [[None if v is None else v for v in row] for row in shifts]}
+            {"shifts": shifts}
             if shifts is not None
             else {"table": [[j + 1, b + 1, i + 1, a + 1] for (j, b, i), a in sorted(self.assign.items())]}
         )
@@ -125,8 +126,7 @@ class ReplicationPlan:
         if raw == "mirror":
             if any(m != 2 for m in mu):
                 raise PlanViolatesDefinition1("mirror wiring needs mu = 2 for every user")
-            shifts = [[1 if i != j else 0 for i in range(K)] for j in range(K)]
-            return cls.from_shifts(mu, shifts, partition)
+            return cls.mirror(K, partition)
         if isinstance(raw, dict) and "shifts" in raw:
             shifts = [[0 if v is None else int(v) for v in row] for row in raw["shifts"]]
             return cls.from_shifts(mu, shifts, partition)
@@ -247,15 +247,9 @@ def realize_replicated(repnet: ReplicatedNetwork, real: ChannelRealization
     """Fill the replicated network's blocks from an original realization."""
     R = len(repnet.users)
     spec = repnet.rep_spec
-    dtype = complex if real.domain.is_complex else np.int64
-    blocks = {}
-    for r in range(R):
-        for t in range(R):
-            src = repnet.source.get((r, t))
-            blocks[(r, t)] = (
-                real.blocks[src] if src is not None
-                else np.zeros((spec.N[r], spec.M[t]), dtype=dtype)
-            )
+    blocks = {(r, t): real.blocks[repnet.source[(r, t)]] if (r, t) in repnet.source
+              else np.zeros((spec.N[r], spec.M[t]), dtype=real.domain.dtype)
+              for r in range(R) for t in range(R)}
     return ChannelRealization(spec, real.domain, blocks, real.seed)
 
 
@@ -280,13 +274,7 @@ class CooperativeChannel:
 
     def instantiate(self, real: ChannelRealization) -> np.ndarray:
         """Dense group1-tx -> group2-rx matrix for a concrete realization."""
-        spec = self.repnet.spec
-        dtype = complex if real.domain.is_complex else np.int64
-        out = np.zeros(self.pattern.shape, dtype=dtype)
-        r_off, c_off = self.pattern.block_slices()
-        for (r, c), (j, i) in self.pattern.entries.items():
-            out[r_off[r]: r_off[r + 1], c_off[c]: c_off[c + 1]] = real.blocks[(j, i)]
-        return out
+        return _place_blocks(self.pattern, real.blocks, real.domain.dtype)
 
 
 def cooperate(repnet: ReplicatedNetwork,
@@ -631,21 +619,12 @@ def build_created_network(spec: NetworkSpec, mu: Sequence[int], seed: int = 0
                     continue
                 for alpha in range(mu[i]):
                     scalars[(j, beta, i, alpha)] = float(rng.uniform(0.0, 1.0))
-    R = len(users)
     M = tuple(spec.M[u] for u, _ in users)
     N = tuple(spec.N[u] for u, _ in users)
-    D = []
-    for r, (j, beta) in enumerate(users):
-        row = []
-        for t, (i, alpha) in enumerate(users):
-            if r == t:
-                row.append(None)
-            elif i == j:
-                row.append(0)
-            else:
-                row.append(spec.D[j][i])
-        D.append(tuple(row))
-    rep_spec = NetworkSpec(M, N, tuple(D))
+    D = tuple(tuple(None if r == t else 0 if i == j else spec.D[j][i]
+                    for t, (i, _) in enumerate(users))
+              for r, (j, _) in enumerate(users))
+    rep_spec = NetworkSpec(M, N, D)
     return CreatedNetwork(spec, mu, rep_spec, users, scalars, seed)
 
 
@@ -662,10 +641,8 @@ def created_extension(created: CreatedNetwork, ext: ExtendedRealization
                 if r == t:
                     blocks[(r, t)] = slot.blocks[(j, j)]
                 elif i == j:
-                    blocks[(r, t)] = np.zeros(
-                        (created.rep_spec.N[r], created.rep_spec.M[t]),
-                        dtype=complex if ext.domain.is_complex else np.int64,
-                    )
+                    blocks[(r, t)] = np.zeros((created.rep_spec.N[r], created.rep_spec.M[t]),
+                                              dtype=ext.domain.dtype)
                 else:
                     blocks[(r, t)] = created.scalars[(j, beta, i, alpha)] * slot.blocks[(j, i)]
         slots.append(ChannelRealization(created.rep_spec, ext.domain, blocks, created.seed))

@@ -292,3 +292,23 @@ def test_scheme_json_roundtrip(counterexample_ext):
     assert again.m == scheme.m and again.n == scheme.n
     report = verify_scheme(counterexample_ext, again, tol=1e-8)
     assert report.passed and report.sum_dof == Fraction(25, 2)
+
+
+def test_verify_scheme_fails_on_non_finite_entries():
+    spec = NetworkSpec.square((2, 2))
+    ext = extend_ergodic_pair(spec, seed=5)
+    scheme = ergodic_half_cake(ext)
+    for bad in (np.nan, np.inf):
+        V = (np.full_like(scheme.V[0], bad),) + scheme.V[1:]
+        report = verify_scheme(ext, LinearScheme(scheme.n, scheme.m, V, scheme.U))
+        assert not report.passed and report.desired_ranks[0] == 0
+
+
+@pytest.mark.parametrize("field", ["n", "users", "m"])
+def test_scheme_json_missing_field_raises_bad_shape(counterexample_ext, field):
+    from halfcake.errors import BadShape
+
+    blob = counterexample_scheme(counterexample_ext, seed=0).to_json()
+    del (blob["users"][0] if field == "m" else blob)[field]
+    with pytest.raises(BadShape):
+        LinearScheme.from_json(blob, counterexample_ext.spec)

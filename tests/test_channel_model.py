@@ -238,3 +238,51 @@ def test_extension_json_roundtrip(counterexample_spec):
         json.loads(json.dumps(ext.to_json())), counterexample_spec)
     assert again.n == 2
     assert np.allclose(again.slots[1].block(0, 0), ext.slots[1].block(0, 0))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("M", [2.5, 2]), ("N", [2, True]), ("D", [[None, 1.0], [1, None]]), ("K", 2.0),
+    ("M", ["2", 2]), ("D", "ab"),
+])
+def test_spec_json_rejects_non_integers(field, value):
+    obj = NetworkSpec.square((2, 2), {(0, 1): 1, (1, 0): 1}).to_json()
+    obj[field] = value
+    with pytest.raises(BadShape):
+        NetworkSpec.from_json(obj)
+
+
+_COMPLEX = ScalarDomain.complex_default()
+_PRIME = ScalarDomain.prime_default()
+
+
+@pytest.mark.parametrize("domain,obj", [
+    (_COMPLEX, [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]),       # ragged
+    (_COMPLEX, [[[1.0, 0.0], [1.0, 0.0]]]),                     # short
+    (_COMPLEX, [[[1.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]),  # not a pair
+    (_COMPLEX, [[1.0, 2.0], [3.0, 4.0]]),                       # bare numbers
+    (_COMPLEX, [[[float("nan"), 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]),
+    (_COMPLEX, [[[1.0, float("-inf")], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]),
+    (_COMPLEX, [[[10 ** 400, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]),
+    (_COMPLEX, [[["1", 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]),
+    (_PRIME, [[0, 1], [2, MERSENNE61]]),                        # residue out of range
+    (_PRIME, [[0, 1], [2, -1]]),
+    (_PRIME, [[0, 1], [2, 3.0]]),
+    (_PRIME, [[0, 1], [2, True]]),
+])
+def test_decode_matrix_rejects_malformed(domain, obj):
+    from halfcake.channel_model import decode_matrix
+
+    with pytest.raises(BadShape):
+        decode_matrix(obj, domain, (2, 2))
+
+
+@pytest.mark.parametrize("domain", [_COMPLEX, _PRIME])
+def test_matrix_codec_round_trip(domain):
+    from halfcake.channel_model import decode_matrix, encode_matrix
+
+    spec = NetworkSpec.square((3, 2), {(0, 1): 1, (1, 0): 1})
+    for blk in sample_generic(spec, seed=4, domain=domain).blocks.values():
+        again = decode_matrix(json.loads(json.dumps(encode_matrix(blk, domain))), domain, blk.shape)
+        assert again.dtype == blk.dtype and np.array_equal(again, blk)
+    empty = decode_matrix([[], []], domain, (2, 0))
+    assert empty.shape == (2, 0) and decode_matrix([], domain, (0, 3)).shape == (0, 3)

@@ -136,3 +136,59 @@ def test_reproduce_targets(tmp_path, target, expected_checks):
 
 def test_reproduce_unknown_target_exits_2(capsys):
     assert main(["reproduce", "no-such-thing"]) == 2
+
+
+def _edit(which, *path, value=None, drop=False):
+    """Edit one input file: set ``value`` at ``path`` (a callable maps the old value) or drop it."""
+    def edit(blobs):
+        *keys, last = path
+        obj = blobs[which]
+        for key in keys:
+            obj = obj[key]
+        if drop:
+            del obj[last]
+        else:
+            obj[last] = value(obj[last]) if callable(value) else value
+    return edit
+
+
+#: bad input -> (command and flags, edit of the spec/channel/scheme files)
+BAD_INPUTS = {
+    "trials-0": (["analyze", "--trials", "0"], None),
+    "domain-prime-7": (["sample", "--domain", "prime:7"], None),
+    "domain-bogus": (["sample", "--domain", "bogus"], None),
+    "antennas-float": (["analyze"], _edit("spec", "M", 0, value=2.5)),
+    "rank-bool": (["analyze"], _edit("spec", "D", 0, 1, value=True)),
+    "scheme-nan": (["verify"], _edit("scheme", "users", 0, "V", 0, 0,
+                                     value=[float("nan"), 0.0])),
+    "scheme-short-v": (["verify"], _edit("scheme", "users", 0, "V", value=lambda v: v[:-1])),
+    "scheme-missing-n": (["verify"], _edit("scheme", "n", drop=True)),
+    "channel-inf": (["verify"], _edit("channel", "slots", 0, "H_1_1", 0, 0,
+                                      value=[float("inf"), 0.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(tmp_path, capsys, case):
+    from halfcake import NetworkSpec, ergodic_half_cake, extend_ergodic_pair
+
+    spec = NetworkSpec.square((2, 2))
+    ext = extend_ergodic_pair(spec, seed=5)
+    blobs = {"spec": spec.to_json(), "channel": ext.to_json(),
+             "scheme": ergodic_half_cake(ext).to_json()}
+    args, edit = BAD_INPUTS[case]
+    if edit is not None:
+        edit(blobs)
+    paths = {}
+    for name, blob in blobs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(blob))
+    argv = args + ["--spec", str(paths["spec"])]
+    if args[0] == "verify":
+        argv += ["--channel", str(paths["channel"]), "--scheme", str(paths["scheme"])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -238,3 +238,15 @@ def test_scalar_domain_validation():
         ScalarDomain("complex", tol=0.0)
     assert ScalarDomain.from_tag("prime:2305843009213693951").p == MERSENNE61
     assert ScalarDomain.from_tag("complex").is_complex
+
+
+def test_bad_trials_and_domain_tags_raise_invalid_argument():
+    from halfcake.errors import HalfCakeError, InvalidArgument
+
+    assert issubclass(InvalidArgument, HalfCakeError) and issubclass(InvalidArgument, ValueError)
+    with pytest.raises(InvalidArgument):
+        generic_rank(NetworkSpec.square((2, 2)), trials=0)
+    for tag in ("prime:7", "prime:", "prime:x", "primes", "bogus"):
+        with pytest.raises(InvalidArgument):
+            ScalarDomain.from_tag(tag)
+    assert ScalarDomain.from_tag("prime").p == MERSENNE61
