@@ -148,20 +148,19 @@ def verify_scheme(ext: ExtendedRealization, scheme: LinearScheme, tol: float = 1
 
     # a NaN or inf entry yields a NaN residual and desired rank 0, so the check fails
     residuals = {}
-    for j in range(spec.K):
-        for i in range(spec.K):
-            if i == j:
-                continue
-            H = ext.extended_block(j, i)
-            R = scheme.U[j] @ H @ scheme.V[i]
-            scale = (
-                np.linalg.norm(scheme.U[j]) * np.linalg.norm(H) * np.linalg.norm(scheme.V[i])
-            )
-            residuals[(j, i)] = float(np.linalg.norm(R) / scale) if scale != 0 else 0.0
-    desired = tuple(
-        numerical_rank(P, rank_tol) if np.isfinite(P).all() else 0
-        for P in (scheme.U[k] @ ext.extended_block(k, k) @ scheme.V[k] for k in range(spec.K))
-    )
+    with np.errstate(invalid="ignore"):
+        for j in range(spec.K):
+            for i in range(spec.K):
+                if i == j:
+                    continue
+                H = ext.extended_block(j, i)
+                R = scheme.U[j] @ H @ scheme.V[i]
+                scale = (
+                    np.linalg.norm(scheme.U[j]) * np.linalg.norm(H) * np.linalg.norm(scheme.V[i])
+                )
+                residuals[(j, i)] = float(np.linalg.norm(R) / scale) if scale != 0 else 0.0
+        products = [scheme.U[k] @ ext.extended_block(k, k) @ scheme.V[k] for k in range(spec.K)]
+    desired = tuple(numerical_rank(P, rank_tol) if np.isfinite(P).all() else 0 for P in products)
     passed = all(r <= tol for r in residuals.values()) and desired == scheme.m
     return VerificationReport(residuals, desired, scheme.m, passed,
                               Fraction(sum(scheme.m), scheme.n), tol)

@@ -209,6 +209,8 @@ class ChannelRealization:
 
     @classmethod
     def from_json(cls, obj: dict, spec: NetworkSpec) -> "ChannelRealization":
+        if not isinstance(obj, dict):
+            raise BadShape(f"a channel slot must be a JSON object, got {type(obj).__name__}")
         domain = ScalarDomain.from_tag(obj.get("domain", "complex"))
         blocks = {}
         for j in range(spec.K):
@@ -401,10 +403,16 @@ class ExtendedRealization:
 
     @classmethod
     def from_json(cls, obj: dict, spec: NetworkSpec) -> "ExtendedRealization":
-        if "slots" in obj:
-            slots = tuple(ChannelRealization.from_json(s, spec) for s in obj["slots"])
-        else:
-            slots = (ChannelRealization.from_json(obj, spec),)
+        if not isinstance(obj, dict):
+            raise BadShape(f"a channel file must be a JSON object, got {type(obj).__name__}")
+        if "slots" not in obj:
+            return cls((ChannelRealization.from_json(obj, spec),))
+        if not isinstance(obj["slots"], list) or not obj["slots"]:
+            raise BadShape("channel slots must be a non-empty list")
+        slots = tuple(ChannelRealization.from_json(s, spec) for s in obj["slots"])
+        tags = sorted({slot.domain.tag for slot in slots})
+        if len(tags) > 1:
+            raise BadShape(f"channel slots disagree on the domain: {', '.join(tags)}")
         return cls(slots)
 
 

@@ -8,6 +8,23 @@ trials never exceeds the generic rank, and reaches it with per-trial
 failure probability at most (total degree)/p, so a handful of trials is a
 certificate for desk-scale matrices.
 
+Exact ranks and products mod p run on one of three kernels, and none of
+them uses object arrays:
+
+* p = 2**61-1, large inputs: uint64 elimination.  Each operand splits into
+  a 30-bit and a 31-bit limb, so limb products fit 62 bits; 2**61 = 1 and
+  2**62 = 2 mod p fold the high parts back, and ``(x & p) + (x >> 61)``
+  plus one conditional subtraction reduces.  A pivot updates only the
+  rows with a nonzero entry below it, right of its column.
+* p = 2**61-1, small inputs, and every other p: elimination and products
+  on plain rows of Python ints, which accept any p.
+* p < 2**31, ranks only: int64 elimination, whose products stay below 2**62.
+
+The cutoff between the first two is a size, fixed from a measured
+crossover: the uint64 kernel spends about twenty numpy calls per pivot
+whatever the matrix size, which Python ints undercut on small matrices
+(below about 17 x 17 for a rank, 100 multiply-adds for a product).
+
 Numerical work on concrete complex realizations (null spaces for
 beamformer construction, decodability ranks) uses SVD with a relative
 singular-value tolerance.
@@ -17,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -88,8 +106,9 @@ class ScalarDomain:
             if not self.tol > 0:
                 raise InvalidArgument("complex domain needs a positive tolerance")
         elif self.kind == "prime":
-            if self.p is None or self.p <= (1 << 32) or not is_prime(self.p):
-                raise InvalidArgument(f"prime domain needs a prime p > 2**32, got {self.p}")
+            # residues are drawn and stored as int64
+            if self.p is None or not (1 << 32) < self.p < (1 << 63) or not is_prime(self.p):
+                raise InvalidArgument(f"prime domain needs a prime 2**32 < p < 2**63, got {self.p}")
         else:
             raise InvalidArgument(f"unknown scalar domain kind {self.kind!r}")
 
@@ -125,12 +144,124 @@ class ScalarDomain:
 
 
 # ---------------------------------------------------------------------------
-# exact rank over a prime field
+# exact rank and products over a prime field
 # ---------------------------------------------------------------------------
 
+#: Below these sizes the uint64 kernels at 2**61-1 lose to Python ints: they
+#: pay about twenty numpy calls per pivot (per product) whatever the size.
+#: Crossovers measured on random dense residues: a rank at about 17 x 17
+#: cells, a product at about 100 multiply-adds (5 x 4 x 5).
+_RANK_CUTOFF_CELLS = 289
+_MATMUL_CUTOFF_MACS = 100
 
-def _eliminate_rank(A: np.ndarray, p: int) -> int:
-    """Row elimination rank; A must already be reduced mod p."""
+_P61 = np.uint64(MERSENNE61)
+_LO30 = np.uint64((1 << 30) - 1)
+_LO31 = np.uint64((1 << 31) - 1)
+_S1, _S30, _S31, _S61 = (np.uint64(s) for s in (1, 30, 31, 61))
+
+
+def _residues(A: np.ndarray, mat, p: int) -> np.ndarray:
+    """New int64 or uint64 array of the residues in [0, p) of ``mat``, given as
+    ``A = np.asarray(mat)``; p < 2**63.  Entries that are not machine integers
+    (Python ints of any size) are read from ``mat``, which ``A`` may have
+    rounded to floats."""
+    if A.dtype.kind == "u":
+        return A.astype(np.uint64, copy=False) % np.uint64(p)
+    if A.dtype.kind in "ib":
+        return A.astype(np.int64, copy=False) % p
+    return np.array([[int(x) % p for x in row] for row in mat], dtype=np.uint64)
+
+
+def _residue_rows(A: np.ndarray, mat, p: int) -> list:
+    """Rows of Python-int residues in [0, p) of ``mat``, for any p."""
+    if p < 1 << 63:
+        return _residues(A, mat, p).tolist()
+    return [[int(x) % p for x in row] for row in mat]
+
+
+def _reduce61(x: np.ndarray) -> np.ndarray:
+    """x mod 2**61-1 for any uint64 x: fold with 2**61 = 1, then subtract p once.
+
+    The fold leaves at most p + 7; where it is below p, ``y - p`` wraps
+    around above ``y`` and the minimum keeps ``y``.
+    """
+    y = (x & _P61) + (x >> _S61)
+    return np.minimum(y, y - _P61)
+
+
+def _mul61_lazy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b mod 2**61-1 up to a multiple of p, as uint64 below 2**63 + 2**32.
+
+    Operands broadcast and hold residues below p.  Each splits into a
+    30-bit high and a 31-bit low limb, so every limb product fits 62 bits;
+    the high-high product has weight 2**62 = 2 and the cross terms weight
+    2**31, whose part above bit 30 wraps through 2**61 = 1.
+    """
+    a1, a0 = a >> _S31, a & _LO31
+    b1, b0 = b >> _S31, b & _LO31
+    mid = a1 * b0 + a0 * b1  # < 2**62
+    return ((a1 << _S1) * b1 + a0 * b0
+            + (mid >> _S30) + ((mid & _LO30) << _S31))
+
+
+def _rank_m61(A: np.ndarray) -> int:
+    """Rank mod 2**61-1 of a uint64 matrix of residues; overwrites A.
+
+    Column by column, the first row with a nonzero entry is the pivot, and
+    only the rows with a nonzero entry below it are updated, only right of
+    the pivot column.  A used pivot row is then zeroed right of its column,
+    so no row swaps are needed and it is never picked again.
+    """
+    if A.shape[0] < A.shape[1]:
+        A = np.ascontiguousarray(A.T)  # at most min(shape) columns to sweep
+    m, n = A.shape
+    r = 0
+    for c in range(n):
+        nz = np.flatnonzero(A[:, c])
+        if nz.size == 0:
+            continue
+        r += 1
+        if r == m or c + 1 == n:
+            break
+        piv, rows = nz[0], nz[1:]
+        if rows.size:
+            neg_inv = MERSENNE61 - pow(int(A[piv, c]), -1, MERSENNE61)
+            f = np.array([x * neg_inv % MERSENNE61 for x in A[rows, c].tolist()],
+                         dtype=np.uint64)
+            update = _mul61_lazy(f[:, None], A[piv, c + 1 :])
+            A[rows, c + 1 :] = _reduce61(A[rows, c + 1 :] + update)
+        A[piv, c + 1 :] = 0
+    return r
+
+
+def _rank_rows(rows: list, p: int) -> int:
+    """Rank mod p of equal-length rows of Python-int residues; overwrites rows."""
+    if len(rows) > len(rows[0]):
+        rows = [list(col) for col in zip(*rows)]  # fewer, longer rows
+    m, n = len(rows), len(rows[0])
+    r = 0
+    for c in range(n):
+        for i in range(r, m):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        piv = rows[i]
+        rows[i], rows[r] = rows[r], piv
+        neg_inv = p - pow(piv[c], -1, p)
+        tail = piv[c + 1 :]
+        for row in rows[r + 1 :]:
+            if row[c]:
+                f = row[c] * neg_inv % p
+                row[c + 1 :] = [(x + f * y) % p for x, y in zip(row[c + 1 :], tail)]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def _rank_int64(A: np.ndarray, p: int) -> int:
+    """Row elimination rank for p < 2**31, where products fit int64; overwrites A."""
     m, n = A.shape
     r = 0
     for c in range(n):
@@ -159,20 +290,29 @@ def rank_mod_p(mat, p: int = MERSENNE61) -> int:
     if 0 in A.shape:
         return 0
     if p < _INT64_SAFE_LIMIT:
-        return _eliminate_rank(A.astype(np.int64) % p, p)
-    # Python ints: products of 61-bit residues do not fit int64.
-    obj = np.array(A.tolist(), dtype=object) % p
-    return _eliminate_rank(obj, p)
-
-
-def _as_object_ints(mat) -> np.ndarray:
-    return np.array(np.asarray(mat).tolist(), dtype=object)
+        return _rank_int64(_residues(A, mat, p).astype(np.int64, copy=False), p)
+    if p == MERSENNE61 and A.size >= _RANK_CUTOFF_CELLS:
+        return _rank_m61(_residues(A, mat, p).view(np.uint64))
+    return _rank_rows(_residue_rows(A, mat, p), p)
 
 
 def matmul_mod_p(A, B, p: int = MERSENNE61) -> np.ndarray:
-    """Exact product of integer matrices mod p (returned as int64)."""
-    prod = np.dot(_as_object_ints(A), _as_object_ints(B)) % p
-    return np.array(prod.tolist(), dtype=np.int64)
+    """Exact product of integer matrices mod p (returned as int64; p < 2**63)."""
+    A_arr, B_arr = np.asarray(A), np.asarray(B)
+    (m, k), (k2, n) = A_arr.shape, B_arr.shape
+    if k != k2:
+        raise ValueError(f"cannot multiply {A_arr.shape} by {B_arr.shape}")
+    if p == MERSENNE61 and m * k * n >= _MATMUL_CUTOFF_MACS:
+        terms = _reduce61(_mul61_lazy(_residues(A_arr, A, p).view(np.uint64)[:, :, None],
+                                      _residues(B_arr, B, p).view(np.uint64)[None, :, :]))
+        acc = np.zeros((m, n), dtype=np.uint64)
+        for j in range(0, k, 7):  # p plus 7 residues stay below 2**64
+            acc = _reduce61(acc + terms[:, j : j + 7].sum(axis=1))
+        return acc.astype(np.int64)
+    cols = list(zip(*_residue_rows(B_arr, B, p))) or [()] * n  # k = 0: no rows to zip
+    prod = [[sum(map(mul, row, col)) % p for col in cols]
+            for row in _residue_rows(A_arr, A, p)]
+    return np.array(prod, dtype=np.int64).reshape(m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +499,7 @@ class StructuredMatrix:
 
     spec: object
     p: int
-    factors: dict  # (j, i) -> (V: N_j x D_ji, U: D_ji x M_i) object arrays
+    factors: dict  # (j, i) -> (V: N_j x D_ji, U: D_ji x M_i) int64 residue arrays
     zeroed: set = field(default_factory=set)
 
     @classmethod
@@ -373,8 +513,8 @@ class StructuredMatrix:
                 if d == 0:
                     continue
                 rng = rng_from(seed, 0x5F, j, i)
-                V = _as_object_ints(rng.integers(0, p, size=(spec.N[j], d), dtype=np.int64))
-                U = _as_object_ints(rng.integers(0, p, size=(d, spec.M[i]), dtype=np.int64))
+                V = rng.integers(0, p, size=(spec.N[j], d), dtype=np.int64)
+                U = rng.integers(0, p, size=(d, spec.M[i]), dtype=np.int64)
                 factors[(j, i)] = (V, U)
         return cls(spec=spec, p=p, factors=factors)
 
@@ -392,18 +532,17 @@ class StructuredMatrix:
         return out
 
     def evaluate(self, rng, extra_zeroed=frozenset()) -> np.ndarray:
-        """Random evaluation of the free coefficients (object-int matrix mod p)."""
+        """Random evaluation of the free coefficients (int64 matrix of residues mod p)."""
         spec, p = self.spec, self.p
         dead = self.zeroed | set(extra_zeroed)
         blocks = {}
         for (j, i), (V, U) in sorted(self.factors.items()):
             d = spec.D[j][i]
             coeffs = rng.integers(0, p, size=d, dtype=np.int64)
-            a = np.array([0 if (j, i, m) in dead else int(coeffs[m]) for m in range(d)],
-                         dtype=object)
-            blocks[(j, i)] = np.dot(V * a[None, :], U) % p
+            coeffs[[m for m in range(d) if (j, i, m) in dead]] = 0
+            blocks[(j, i)] = matmul_mod_p(V, matmul_mod_p(np.diag(coeffs), U, p), p)
         pattern = BlockPattern(spec.N, spec.M, {key: key for key in blocks})
-        return _place_blocks(pattern, blocks, object)
+        return _place_blocks(pattern, blocks, np.int64)
 
 
 def det_nonzero_with_var_zeroed(struct: StructuredMatrix, var, trials: int = 8,

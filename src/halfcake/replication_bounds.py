@@ -21,7 +21,13 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel_model import ChannelRealization, ExtendedRealization, NetworkSpec, validate_spec
+from .channel_model import (
+    ChannelRealization,
+    ExtendedRealization,
+    NetworkSpec,
+    _json_int,
+    validate_spec,
+)
 from .errors import (
     BadPartition,
     BadShape,
@@ -117,25 +123,34 @@ class ReplicationPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ReplicationPlan":
-        mu = tuple(int(m) for m in obj["mu"])
-        K = len(mu)
-        partition = tuple(
-            tuple((int(u) - 1, int(c) - 1) for u, c in group) for group in obj["partition"]
-        )
-        raw = obj["assign"]
+        try:
+            mu = tuple(_json_int(m, "mu") for m in obj["mu"])
+            partition = tuple(
+                tuple((_json_int(u, "partition") - 1, _json_int(c, "partition") - 1)
+                      for u, c in group)
+                for group in obj["partition"]
+            )
+            raw = obj["assign"]
+            shifts = table = None
+            if isinstance(raw, dict) and "shifts" in raw:
+                shifts = [[0 if v is None else _json_int(v, "shifts") for v in row]
+                          for row in raw["shifts"]]
+            elif isinstance(raw, dict) and "table" in raw:
+                table = {
+                    (_json_int(j, "table") - 1, _json_int(b, "table") - 1,
+                     _json_int(i, "table") - 1): _json_int(a, "table") - 1
+                    for j, b, i, a in raw["table"]
+                }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadShape(f"malformed replication plan: {exc}") from exc
         if raw == "mirror":
             if any(m != 2 for m in mu):
                 raise PlanViolatesDefinition1("mirror wiring needs mu = 2 for every user")
-            return cls.mirror(K, partition)
-        if isinstance(raw, dict) and "shifts" in raw:
-            shifts = [[0 if v is None else int(v) for v in row] for row in raw["shifts"]]
+            return cls.mirror(len(mu), partition)
+        if shifts is not None:
             return cls.from_shifts(mu, shifts, partition)
-        if isinstance(raw, dict) and "table" in raw:
-            assign = {
-                (int(j) - 1, int(b) - 1, int(i) - 1): int(a) - 1
-                for j, b, i, a in raw["table"]
-            }
-            return cls(mu, assign, _normalize_partition(partition))
+        if table is not None:
+            return cls(mu, table, _normalize_partition(partition))
         raise BadShape("unrecognized plan assignment encoding")
 
 

@@ -165,7 +165,34 @@ BAD_INPUTS = {
     "scheme-missing-n": (["verify"], _edit("scheme", "n", drop=True)),
     "channel-inf": (["verify"], _edit("channel", "slots", 0, "H_1_1", 0, 0,
                                       value=[float("inf"), 0.0])),
+    "domain-prime-2^63": (["sample", "--extend", "--domain", "prime:9223372036854775837"], None),
+    "channel-list": (["verify"], lambda blobs: blobs.update(channel=[])),
+    "channel-slot-list": (["verify"], _edit("channel", "slots", 0, value=[])),
+    "channel-mixed-domains": (["verify"], _edit("channel", "slots", 1, value=lambda _: _prime_slot())),
+    "plan-list": (["bound"], lambda blobs: blobs.update(plan=[])),
+    "plan-mu-string": (["bound"], _edit("plan", "mu", 1, value="x")),
+    "plan-mu-float": (["bound"], _edit("plan", "mu", 0, value=2.5)),
+    "plan-shift-float": (["bound"], _edit("plan", "assign", "shifts", 0, 1, value=2.5)),
+    "plan-partition-float": (["bound"], _edit("plan", "partition", 0, 0, 0, value=1.0)),
+    "plan-partition-not-pairs": (["bound"], _edit("plan", "partition", 0, 0, value=[1, 1, 1])),
 }
+
+
+def _plan_2x2() -> dict:
+    """A valid plan for the 2-user test spec (``bound`` exits 0 on it unedited)."""
+    from halfcake.replication_bounds import ReplicationPlan, contiguous_partition
+
+    return ReplicationPlan.from_shifts([2, 2], [[None, 1], [1, None]],
+                                       contiguous_partition([2, 2], [1, 1])).to_json()
+
+
+def _prime_slot() -> dict:
+    """Second slot of the test channel, sampled over the default prime field."""
+    from halfcake import NetworkSpec, ScalarDomain, extend_ergodic_pair
+
+    ext = extend_ergodic_pair(NetworkSpec.square((2, 2)), seed=5,
+                              domain=ScalarDomain.prime_default())
+    return ext.to_json()["slots"][1]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -175,7 +202,7 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     spec = NetworkSpec.square((2, 2))
     ext = extend_ergodic_pair(spec, seed=5)
     blobs = {"spec": spec.to_json(), "channel": ext.to_json(),
-             "scheme": ergodic_half_cake(ext).to_json()}
+             "scheme": ergodic_half_cake(ext).to_json(), "plan": _plan_2x2()}
     args, edit = BAD_INPUTS[case]
     if edit is not None:
         edit(blobs)
@@ -186,9 +213,12 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     argv = args + ["--spec", str(paths["spec"])]
     if args[0] == "verify":
         argv += ["--channel", str(paths["channel"]), "--scheme", str(paths["scheme"])]
+    if args[0] == "bound":
+        argv += ["--plan", str(paths["plan"])]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+

@@ -250,3 +250,124 @@ def test_bad_trials_and_domain_tags_raise_invalid_argument():
         with pytest.raises(InvalidArgument):
             ScalarDomain.from_tag(tag)
     assert ScalarDomain.from_tag("prime").p == MERSENNE61
+
+
+# ---------------------------------------------------------------------------
+# prime-field kernels: uint64 at 2**61-1, Python ints elsewhere
+# ---------------------------------------------------------------------------
+
+#: a 41-bit prime, served by the Python-int path at every size
+P41 = 1_099_511_627_791
+
+#: residues that sit on the limb and fold boundaries of the uint64 kernel
+EDGE_RESIDUES = (0, 1, MERSENNE61 - 1, (1 << 32) - 1, 1 << 32, 1 << 60)
+
+#: square and rectangular shapes on both sides of the Python-int cutoff
+KERNEL_SHAPES = [(1, 1), (1, 9), (9, 1), (3, 5), (8, 8), (12, 30), (30, 12), (16, 16),
+                 (17, 17), (18, 18), (24, 24), (40, 25), (60, 60), (110, 97)]
+
+
+def reference_rank(rows, p: int) -> int:
+    """Gaussian elimination on Python ints, one entry at a time."""
+    rows = [[int(x) % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                for cc in range(c, len(rows[i])):
+                    rows[i][cc] = (rows[i][cc] - f * rows[rank][cc]) % p
+        rank += 1
+    return rank
+
+
+def reference_product(A: np.ndarray, B: np.ndarray, p: int) -> list:
+    (m, k), (_, n) = A.shape, B.shape
+    return [[sum(int(A[i, t]) * int(B[t, j]) for t in range(k)) % p for j in range(n)]
+            for i in range(m)]
+
+
+def _planted(rng, shape, r, p):
+    """A random matrix of rank r mod p (almost surely), with zero rows and columns mixed in."""
+    m, n = shape
+    X = rng.integers(0, p, size=(m, r), dtype=np.int64)
+    Y = rng.integers(0, p, size=(r, n), dtype=np.int64)
+    A = matmul_mod_p(X, Y, p)
+    A[rng.random(m) < 0.2] = 0  # may lower the rank; the reference decides
+    return A
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, P41])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_rank_of_planted_products_matches_reference(shape, p):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for r in sorted({0, 1, min(shape) // 2, min(shape)}):
+        X = rng.integers(0, p, size=(shape[0], r), dtype=np.int64)
+        Y = rng.integers(0, p, size=(r, shape[1]), dtype=np.int64)
+        full = matmul_mod_p(X, Y, p)
+        assert rank_mod_p(full, p) == r == reference_rank(full.tolist(), p)
+    sparse = _planted(rng, shape, min(shape) - 1, p)
+    assert rank_mod_p(sparse, p) == reference_rank(sparse.tolist(), p)
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (20, 20), (30, 18)])
+def test_rank_on_edge_residues(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        A = rng.choice(np.array(EDGE_RESIDUES, dtype=np.int64), size=shape)
+        assert rank_mod_p(A, MERSENNE61) == reference_rank(A.tolist(), MERSENNE61)
+        assert rank_mod_p(A, P41) == reference_rank(A.tolist(), P41)
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, P41, (1 << 31) - 1])
+@pytest.mark.parametrize("shape", [(5, 7), (24, 20)])
+def test_rank_accepts_lists_negative_int64_and_big_python_ints(shape, p):
+    rng = np.random.default_rng(7)
+    base = _planted(rng, shape, min(shape) - 2, MERSENNE61).tolist()
+    expected = reference_rank(base, p)
+    negative = -np.array(base, dtype=np.int64)
+    huge = np.array([[x + (3 ** 90) * p * (-1) ** x for x in row] for row in base], dtype=object)
+    assert rank_mod_p(base, p) == expected
+    assert rank_mod_p(negative, p) == expected
+    assert rank_mod_p(huge, p) == expected
+    assert rank_mod_p(huge.tolist(), p) == expected
+
+
+def test_rank_beyond_int64_primes_uses_python_ints():
+    p = (1 << 89) - 1  # Mersenne prime far above 2**63
+    rng = np.random.default_rng(5)
+    for shape in [(4, 4), (25, 25)]:
+        A = [[int(x) * (1 << 40) + 3 for x in row] for row in rng.integers(0, 1 << 40, size=shape)]
+        assert rank_mod_p(A, p) == reference_rank(A, p)
+
+
+def test_matmul_matches_python_ints_on_20000_pairs():
+    rng = np.random.default_rng(20_000)
+    p = MERSENNE61
+    a = rng.integers(0, p, size=(100, 1), dtype=np.int64)
+    b = rng.integers(0, p, size=(1, 200), dtype=np.int64)
+    a[: len(EDGE_RESIDUES), 0] = EDGE_RESIDUES
+    b[0, : len(EDGE_RESIDUES)] = EDGE_RESIDUES
+    got = matmul_mod_p(a, b, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_product(a, b, p)
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, P41])
+@pytest.mark.parametrize("mkn", [(1, 1, 1), (2, 3, 2), (4, 4, 5), (5, 4, 5), (10, 6, 8),
+                                 (7, 23, 9), (3, 0, 4)])
+def test_matmul_matches_python_ints(mkn, p):
+    m, k, n = mkn
+    rng = np.random.default_rng(m * 100 + k * 10 + n)
+    A = rng.choice(np.array(EDGE_RESIDUES + (p - 1, p - 2), dtype=np.int64), size=(m, k))
+    B = rng.integers(-p, p, size=(k, n), dtype=np.int64)
+    expected = reference_product(A, B, p)
+    assert matmul_mod_p(A, B, p).tolist() == expected
+    if k:  # nested lists cannot carry an empty inner dimension
+        big = np.array([[x + 7 ** 40 * p for x in row] for row in B.tolist()], dtype=object)
+        assert matmul_mod_p(A.tolist(), big, p).tolist() == expected
