@@ -1,5 +1,6 @@
 """Replicated networks, cooperation bounds, plan search, created networks."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from halfcake import (
     cooperate,
     created_extension,
     outer_bound,
+    random_square_spec,
     realize_replicated,
     sample_generic,
     search_bounds,
@@ -320,6 +322,52 @@ def test_search_pinned_on_presets(name):
 def test_search_rejects_bad_arguments(kwargs):
     with pytest.raises(InvalidArgument):
         search_bounds(NetworkSpec.square((2, 2)), **kwargs)
+
+
+#: SHA-256 of the sorted-key ``search_bounds(...).to_json()`` of searches that
+#: run out of budget: each preset at mu_max 3 and budgets 3 and 50, keyed
+#: (preset, budget), and random_square_spec((0, t), K_min=3, K_max=4, M_max=6)
+#: at mu_max 3, budget 200 and seed t, keyed t.  The comment is the bound.
+BUDGET_PINS = {
+    ("counterexample", 3): "52999627d2eaf449a7401eb0070a4b0895b714fde29de9c681a8d942336d64b6",  # 25/2
+    ("counterexample", 50): "52999627d2eaf449a7401eb0070a4b0895b714fde29de9c681a8d942336d64b6",  # 25/2
+    ("example-2x3", 3): "9ba5be870f6b3defac924ea90d0b88f8b0fbfb5c31729cbb1b65bccd5190c130",  # 4
+    ("example-2x3", 50): "9ba5be870f6b3defac924ea90d0b88f8b0fbfb5c31729cbb1b65bccd5190c130",  # 4
+    ("example-asym", 3): "7e2bdaf20e4997ce338de6cb4dced4df3e15f7f65552fef60f97934e7042e3ac",  # 13
+    ("example-asym", 50): "8ac5dabdf9454112583bae8b20607f3a98fbd5378e9187dea511ad80c7b6de6f",  # 12
+    ("reduced-example", 3): "58b7afd4d9845a52f72b690d64b131e6c671062c3190f144ab0324c2bfff4619",  # 12
+    ("reduced-example", 50): "58b7afd4d9845a52f72b690d64b131e6c671062c3190f144ab0324c2bfff4619",  # 12
+    ("theorem5", 3): "f941e64c231d0e35ba855a07efa57e9b939d918e879e290a0d3a418fc87da08d",  # 5
+    ("theorem5", 50): "f941e64c231d0e35ba855a07efa57e9b939d918e879e290a0d3a418fc87da08d",  # 5
+    ("theorem6", 3): "2aa0cc7d9dbc65af5d50f5cc2844c2db5f491daf62034eb905a6680dd17506bf",  # 8
+    ("theorem6", 50): "9f772034fbc2508990bb5a340686f3d0a87fc2d567ad2eed3850f5225ccd78ed",  # 13/2
+    0: "9484f71db64305178161a6ba477c139d66aa62f8beecf574b569efbf1d26ebc4",  # 4
+    1: "cae3516a480159de964d8c898f2d124b9ea1a36a3ccde1a8e1cc0b17a42acbad",  # 22/3
+    2: "b8155af4bc28abc9cbae425c535fd3c8c360b86d4cc14e81fd80e498b330093a",  # 7
+    3: "7d29b9dcbd44a01380192e86b5d5333ea1df38dd1a8ee3492de5e242c0040c93",  # 13/2
+    4: "e00d43b5971c94f7bd52a5bddf64e2cb368d681e4197dc08cd2c84222993a66f",  # 7
+    5: "1cf744064d035fe08b175a5708b4a02b23045017e934b16f4627d48da084b345",  # 8
+    6: "0c110b94133c28fd4e9042e3d535115e43794e2d51528e6768a4726dc7fa0822",  # 6
+    7: "7aad8cbd79591d2f7b0a3e1b9712c36615eb88b50600ad0f4a6db0aac912a1f4",  # 5
+    8: "e744a33fd5b409ae02f761792e752ec84f79dd3845ada0d21e4f570bade5bfcb",  # 9
+    9: "f878afb98b7c83066ee2f1450fc19bf88a5c6a3b495d68741df1c68d4a1631a6",  # 6
+    10: "b659c66cc2206c2073c0689069ec5b8915f3b958f142cc22312f875c4b6dfa43",  # 11
+    11: "196152005598b1a79d9309374c24e189222b7df65e559d397222c0afd6b8210e",  # 17/2
+}
+
+
+def test_search_pinned_under_budget():
+    got = {}
+    for key in BUDGET_PINS:
+        if isinstance(key, tuple):
+            name, budget = key
+            best = search_bounds(presets.NETWORKS[name](), mu_max=3, budget=budget)
+        else:
+            spec = random_square_spec((0, key), K_min=3, K_max=4, M_max=6)
+            best = search_bounds(spec, mu_max=3, budget=200, seed=key)
+        text = json.dumps(best.to_json(), sort_keys=True)
+        got[key] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == BUDGET_PINS
 
 
 # ---------------------------------------------------------------------------
