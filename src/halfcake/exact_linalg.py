@@ -8,8 +8,8 @@ trials never exceeds the generic rank, and reaches it with per-trial
 failure probability at most (total degree)/p, so a handful of trials is a
 certificate for desk-scale matrices.
 
-Exact ranks and products mod p run on one of three kernels, and none of
-them uses object arrays:
+Exact ranks and products mod p run on one of two kernels, and neither
+uses object arrays:
 
 * p = 2**61-1, large inputs: uint64 elimination.  Each operand splits into
   a 30-bit and a 31-bit limb, so limb products fit 62 bits; 2**61 = 1 and
@@ -18,9 +18,8 @@ them uses object arrays:
   rows with a nonzero entry below it, right of its column.
 * p = 2**61-1, small inputs, and every other p: elimination and products
   on plain rows of Python ints, which accept any p.
-* p < 2**31, ranks only: int64 elimination, whose products stay below 2**62.
 
-The cutoff between the first two is a size, fixed from a measured
+The cutoff between the two is a size, fixed from a measured
 crossover: the uint64 kernel spends about twenty numpy calls per pivot
 whatever the matrix size, which Python ints undercut on small matrices
 (below about 17 x 17 for a rank, 100 multiply-adds for a product).
@@ -42,8 +41,6 @@ import numpy as np
 from .errors import InvalidArgument, NotSquare
 
 MERSENNE61 = (1 << 61) - 1
-#: largest prime whose elimination fits int64 arithmetic (products < 2**62)
-_INT64_SAFE_LIMIT = 1 << 31
 
 
 def seed_key(*parts) -> tuple:
@@ -260,28 +257,6 @@ def _rank_rows(rows: list, p: int) -> int:
     return r
 
 
-def _rank_int64(A: np.ndarray, p: int) -> int:
-    """Row elimination rank for p < 2**31, where products fit int64; overwrites A."""
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = A[r] * inv % p
-        below = A[r + 1 :, c]
-        if below.size:
-            A[r + 1 :] = (A[r + 1 :] - np.outer(below, A[r])) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 def rank_mod_p(mat, p: int = MERSENNE61) -> int:
     """Exact rank of an integer matrix over the field of integers mod p."""
     A = np.asarray(mat)
@@ -289,8 +264,6 @@ def rank_mod_p(mat, p: int = MERSENNE61) -> int:
         raise ValueError("expected a 2-d matrix")
     if 0 in A.shape:
         return 0
-    if p < _INT64_SAFE_LIMIT:
-        return _rank_int64(_residues(A, mat, p).astype(np.int64, copy=False), p)
     if p == MERSENNE61 and A.size >= _RANK_CUTOFF_CELLS:
         return _rank_m61(_residues(A, mat, p).view(np.uint64))
     return _rank_rows(_residue_rows(A, mat, p), p)

@@ -143,6 +143,13 @@ class ReplicationPlan:
                 }
         except (KeyError, TypeError, ValueError) as exc:
             raise BadShape(f"malformed replication plan: {exc}") from exc
+        if any(m < 1 for m in mu):
+            raise BadShape("plan replica counts must be positive")
+        if len(partition) != 2:
+            raise BadShape(f"plan partition needs two groups, got {len(partition)}")
+        if shifts is not None and (len(shifts) != len(mu)
+                                   or any(len(row) != len(mu) for row in shifts)):
+            raise BadShape(f"plan shift table must be {len(mu)} x {len(mu)}")
         if raw == "mirror":
             if any(m != 2 for m in mu):
                 raise PlanViolatesDefinition1("mirror wiring needs mu = 2 for every user")
@@ -353,15 +360,18 @@ class DofBound:
         }
 
 
-def _coop_rank(spec, coop: CooperativeChannel, trials, seed, p,
-               realization: Optional[ChannelRealization]) -> Tuple[int, str]:
+def _coop_rank(spec, plan: ReplicationPlan, trials, seed, p,
+               realization: Optional[ChannelRealization]
+               ) -> Tuple[CooperativeChannel, int, str]:
+    """Cooperation channel of ``plan`` and the rank of its cross matrix, with the method."""
+    coop = cooperate(build_replicated(spec, plan), plan.partition)
     if realization is not None:
         mat = coop.instantiate(realization)
         if realization.domain.is_complex:
-            return numerical_rank(mat, realization.domain.tol), "realized-complex"
-        return rank_mod_p(mat, realization.domain.p), "realized-prime"
+            return coop, numerical_rank(mat, realization.domain.tol), "realized-complex"
+        return coop, rank_mod_p(mat, realization.domain.p), "realized-prime"
     r = generic_rank_pattern(spec, coop.pattern, trials=trials, seed=seed, p=p)
-    return r, f"generic-prime-field(trials={trials})"
+    return coop, r, f"generic-prime-field(trials={trials})"
 
 
 def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed: int = 0,
@@ -372,9 +382,7 @@ def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed:
     if mu is None:
         raise NonUniformMu("sum-DoF bound needs uniform replica counts; "
                            "use weighted_dof_bound for weighted statements")
-    repnet = build_replicated(spec, plan)
-    coop = cooperate(repnet, plan.partition)
-    rank_val, method = _coop_rank(spec, coop, trials, seed, p, realization)
+    coop, rank_val, method = _coop_rank(spec, plan, trials, seed, p, realization)
     value = Fraction(coop.Mbar1 + coop.Nbar2 - rank_val, mu)
     return DofBound(value, mu, rank_val, coop.Mbar1, coop.Nbar2, plan, method)
 
@@ -415,9 +423,7 @@ def weighted_dof_bound(spec: NetworkSpec, mu: Sequence[int], plan: ReplicationPl
     """Weighted-sum DoF statement from one replicated network after cooperation."""
     if tuple(mu) != plan.mu:
         raise PlanViolatesDefinition1("weight vector disagrees with the plan's replica counts")
-    repnet = build_replicated(spec, plan)
-    coop = cooperate(repnet, plan.partition)
-    rank_val, method = _coop_rank(spec, coop, trials, seed, p, realization)
+    coop, rank_val, method = _coop_rank(spec, plan, trials, seed, p, realization)
     rhs = coop.Mbar1 + coop.Nbar2 - rank_val
     return WeightedBoundStatement(plan.mu, rhs, rank_val, coop.Mbar1, coop.Nbar2, plan, method)
 
@@ -426,8 +432,8 @@ def weighted_dof_bound(spec: NetworkSpec, mu: Sequence[int], plan: ReplicationPl
 # bounded search over plans
 # ---------------------------------------------------------------------------
 
-#: int64-safe prime for cheap screening ranks inside the search
-_SCREEN_PRIME = (1 << 31) - 1
+#: trials of each screening rank inside the search; the winner is re-certified
+_SCREEN_TRIALS = 1
 
 #: candidates scored per numpy call; keeps the kernel's scratch arrays small
 _CHUNK = 1024
@@ -448,6 +454,35 @@ def _offset_class_shifts(K: int, mu: int):
                 if i != j:
                     table[j][i] = combo[(i - j) % K - 1]
         yield table
+
+
+def _candidates(K: int, mu_max: int, budget: int, seed: int):
+    """Batches ``(mus, shifts, cuts, swap, ranked)`` of circulant candidates.
+
+    First, for each mu <= mu_max, each offset-class shift table with every
+    per-user cut in both group orientations (``ranked``: the search walks
+    them best potential first).  Then up to ``2 * budget`` random full
+    shift tables with 2 <= mu <= mu_max, drawn lazily from one seeded
+    stream ``_CHUNK`` at a time (walked in draw order).
+    """
+    for mu in range(1, mu_max + 1):
+        one_side = np.array(list(product(range(mu + 1), repeat=K)), dtype=np.int64)
+        cuts = np.concatenate([one_side, one_side])
+        swap = np.repeat([False, True], len(one_side))
+        mus = np.full(len(cuts), mu)
+        for table in _offset_class_shifts(K, mu):
+            yield mus, np.broadcast_to(table, (len(cuts), K, K)), cuts, swap, True
+    if mu_max < 2:
+        return
+    rng = rng_from(seed, 0x5E)
+    links = ~np.eye(K, dtype=bool)
+    for drawn in range(0, 2 * budget, _CHUNK):
+        n = min(_CHUNK, 2 * budget - drawn)
+        mus = rng.integers(2, mu_max + 1, size=n)
+        shifts = rng.integers(0, mus[:, None, None], size=(n, K, K)) * links
+        cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
+        swap = rng.integers(0, 2, size=n).astype(bool)
+        yield mus, shifts, cuts, swap, False
 
 
 def candidate_potentials(spec: NetworkSpec, mu: int, shifts, cuts, swap) -> np.ndarray:
@@ -494,21 +529,23 @@ def candidate_potentials(spec: NetworkSpec, mu: int, shifts, cuts, swap) -> np.n
 
 
 def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int = 0,
-                  screen_trials: int = 1, certify_trials: int = 8) -> DofBound:
+                  certify_trials: int = 8) -> DofBound:
     """Best bound over circulant plans with contiguous cooperation groups.
 
-    Enumerates, for each uniform mu <= mu_max, the offset-class shift
-    tables and all per-user contiguous cuts (both group orientations),
-    then draws up to ``2 * budget`` seeded random full shift tables.
-    Candidates are screened cheapest-first: the structural rank cap,
-    computed on integer arrays by ``candidate_potentials``, gives every
-    candidate a potential (best value it could still reach), and only
-    candidates whose potential beats the current best are built as plans
-    and pay for a rank evaluation.  ``budget`` bounds the work: at most
-    ``budget`` rank evaluations (memo hits are free) and at most
+    Walks one stream of candidates (``_candidates``): for each uniform
+    mu <= mu_max the offset-class shift tables with all per-user
+    contiguous cuts in both group orientations, then up to ``2 * budget``
+    seeded random full shift tables.  Candidates are screened
+    cheapest-first: the structural rank cap, computed on integer arrays by
+    ``candidate_potentials``, gives every candidate a potential (best
+    value it could still reach), and only candidates whose potential beats
+    the current best are built as plans and pay for a rank evaluation
+    over 2**61-1.  Offset-class candidates are walked by (potential,
+    partition), random ones in draw order.  ``budget`` bounds the work: at
+    most ``budget`` rank evaluations (memo hits are free) and at most
     ``2 * budget`` random candidates scored.  The winner is re-certified
-    over the default field at ``certify_trials``.  Ties break
-    lexicographically on (bound, mu, plan encoding).
+    at ``certify_trials``.  Ties break lexicographically on (bound, mu,
+    plan encoding).
     """
     if mu_max < 1:
         raise InvalidArgument(f"mu_max must be >= 1, got {mu_max}")
@@ -516,88 +553,44 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
         raise InvalidArgument(f"budget must be >= 1, got {budget}")
     validate_spec(spec)
     K = spec.K
-    best: Optional[DofBound] = None
-    best_key = None
+    best_key = best_plan = None  # best_key = (value, mu, plan encoding)
     evals = 0
     rank_memo: dict = {}
 
-    def beats_best(potential: int, mu: int) -> bool:
-        return best is None or potential * best.value.denominator < best.value.numerator * mu
+    def beats_best(potential, mu):
+        """Whether potential / mu is below the best value; broadcasts over arrays."""
+        if best_key is None:
+            return np.ones_like(potential, dtype=bool)
+        return potential * best_key[0].denominator < best_key[0].numerator * mu
 
-    def evaluate(mu: int, shifts, partition) -> None:
-        nonlocal best, best_key, evals
-        plan = ReplicationPlan.from_shifts([mu] * K, shifts, partition)
-        coop = cooperate(build_replicated(spec, plan), plan.partition)
-        key = (coop.pattern.row_sizes, coop.pattern.col_sizes,
-               tuple(sorted(coop.pattern.entries.items())))
-        if key in rank_memo:
-            r = rank_memo[key]
-        else:
-            evals += 1
-            r = generic_rank_pattern(spec, coop.pattern, trials=screen_trials,
-                                     seed=(seed, evals), p=_SCREEN_PRIME)
-            rank_memo[key] = r
-        value = Fraction(coop.Mbar1 + coop.Nbar2 - r, mu)
-        cand_key = (value, mu, plan.encoding())
-        if best_key is None or cand_key < best_key:
-            best = DofBound(value, mu, r, coop.Mbar1, coop.Nbar2, plan,
-                            f"screen-prime-field(trials={screen_trials})")
-            best_key = cand_key
-
-    def run_table(mu: int, shifts, cuts, swap) -> None:
-        """Screen every cut of one shift table, best (potential, partition) first."""
-        potentials = candidate_potentials(spec, mu, np.broadcast_to(shifts, (len(cuts), K, K)),
-                                          cuts, swap)
-        for potential in np.unique(potentials):
-            if not beats_best(int(potential), mu):
-                return
-            group = sorted(_oriented_partition(mu, cuts[n], swap[n])
-                           for n in np.flatnonzero(potentials == potential))
-            for partition in group:
-                if not beats_best(int(potential), mu) or evals >= budget:
-                    return
-                evaluate(mu, shifts, partition)
-
-    for mu in range(1, mu_max + 1):
-        one_side = np.array(list(product(range(mu + 1), repeat=K)), dtype=np.int64)
-        cuts = np.concatenate([one_side, one_side])
-        swap = np.repeat([False, True], len(one_side))
-        for shifts in _offset_class_shifts(K, mu):
-            if evals >= budget:
-                break
-            run_table(mu, shifts, cuts, swap)
-
-    # random full shift tables, scored a chunk at a time; repeats are skipped.
-    # best is set: the single mu = 1 table always evaluates its first cut.
-    rng = rng_from(seed, 0x5E)
-    links = ~np.eye(K, dtype=bool)
-    seen = set()
-    drawn = 0
-    while mu_max > 1 and evals < budget and drawn < 2 * budget:
-        n = min(_CHUNK, 2 * budget - drawn)
-        drawn += n
-        mus = rng.integers(2, mu_max + 1, size=n)
-        shifts = rng.integers(0, mus[:, None, None], size=(n, K, K)) * links
-        cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
-        swap = rng.integers(0, 2, size=n).astype(bool)
-        potentials = np.empty(n, dtype=np.int64)
+    for mus, shifts, cuts, swap, ranked in _candidates(K, mu_max, budget, seed):
+        if evals >= budget:
+            break
+        potentials = np.empty(len(mus), dtype=np.int64)
         for mu in np.unique(mus):
             sel = mus == mu
             potentials[sel] = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel], swap[sel])
-        survivors = np.flatnonzero(potentials * best.value.denominator
-                                   < best.value.numerator * mus)
-        for t in survivors:
-            mu = int(mus[t])
-            key = (mu, shifts[t].tobytes(), cuts[t].tobytes(), bool(swap[t]))
-            if key in seen:
-                continue
-            seen.add(key)
+        rows = [(int(potentials[n]), int(mus[n]), _oriented_partition(mus[n], cuts[n], swap[n]), n)
+                for n in np.flatnonzero(beats_best(potentials, mus))]
+        for potential, mu, partition, n in sorted(rows) if ranked else rows:
             if evals >= budget:
                 break
-            if beats_best(int(potentials[t]), mu):
-                evaluate(mu, shifts[t], _oriented_partition(mu, cuts[t], swap[t]))
+            if not beats_best(potential, mu):
+                continue
+            plan = ReplicationPlan.from_shifts([mu] * K, shifts[n], partition)
+            coop = cooperate(build_replicated(spec, plan), plan.partition)
+            key = (coop.pattern.row_sizes, coop.pattern.col_sizes,
+                   tuple(sorted(coop.pattern.entries.items())))
+            if key not in rank_memo:
+                evals += 1
+                rank_memo[key] = generic_rank_pattern(spec, coop.pattern, trials=_SCREEN_TRIALS,
+                                                      seed=(seed, evals))
+            value = Fraction(coop.Mbar1 + coop.Nbar2 - rank_memo[key], mu)
+            cand_key = (value, mu, plan.encoding())
+            if best_key is None or cand_key < best_key:
+                best_key, best_plan = cand_key, plan
 
-    return outer_bound(spec, best.plan, trials=certify_trials, seed=seed)
+    return outer_bound(spec, best_plan, trials=certify_trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,11 @@ BAD_INPUTS = {
     "plan-shift-float": (["bound"], _edit("plan", "assign", "shifts", 0, 1, value=2.5)),
     "plan-partition-float": (["bound"], _edit("plan", "partition", 0, 0, 0, value=1.0)),
     "plan-partition-not-pairs": (["bound"], _edit("plan", "partition", 0, 0, value=[1, 1, 1])),
+    "plan-mu-zero": (["bound"], _edit("plan", "mu", 0, value=0)),
+    "plan-shifts-short": (["bound"], _edit("plan", "assign", "shifts", value=[[0, 1]])),
+    "plan-partition-one-group": (["bound"], _edit("plan", "partition", value=lambda g: g[:1])),
+    "plan-partition-three-groups": (["bound"], _edit("plan", "partition",
+                                                     value=lambda g: g + [[]])),
 }
 
 
