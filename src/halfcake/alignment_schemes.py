@@ -22,6 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import presets
 from .channel_model import ExtendedRealization, NetworkSpec, _json_int, decode_matrix, encode_matrix
 from .errors import (
     BadShape,
@@ -29,6 +30,7 @@ from .errors import (
     DegenerateDesiredDifference,
     DimensionMismatch,
     HalfCakeError,
+    InvalidArgument,
     NotSquareCase,
     NullSpaceEmpty,
 )
@@ -134,7 +136,13 @@ class VerificationReport:
 
 def verify_scheme(ext: ExtendedRealization, scheme: LinearScheme, tol: float = 1e-8,
                   rank_tol: float = 1e-9) -> VerificationReport:
-    """Check zero interference and full desired rank on the extended channels."""
+    """Check zero interference and full desired rank on the extended channels.
+
+    Residuals are relative Frobenius norms, at most 1, so ``tol`` must lie
+    in (0, 1): a tol of 1 or more would pass every scheme.
+    """
+    if not 0 < tol < 1:
+        raise InvalidArgument(f"tol must lie in (0, 1), got {tol}")
     spec = ext.spec
     if not ext.domain.is_complex:
         raise DimensionMismatch("scheme verification runs on complex realizations")
@@ -349,23 +357,14 @@ def _build(ext: ExtendedRealization, perm, family: str, seed: int) -> LinearSche
     return builder(ext.permute(perm), seed=seed).reordered(perm)
 
 
-_COUNTEREXAMPLE_M = (10, 8, 6)
-
-
 def counterexample_scheme(ext: ExtendedRealization, seed: int = 0) -> LinearScheme:
     """Aligned-pair scheme on the (10, 8, 6) network with ranks 6 / 5 across the top pair.
 
     Stream counts are (11, 9, 5) over two slots, i.e. 25 symbols in 2 uses.
     """
-    spec = ext.spec
-    expected = NetworkSpec.square(_COUNTEREXAMPLE_M, {(0, 1): 6, (1, 0): 5})
-    if spec != expected:
+    if ext.spec != presets.counterexample_network():
         raise ConditionFails("this construction is specific to the (10,8,6) 6/5 network")
     return scheme_cd7(ext, seed=seed)
-
-
-_ASYM_M = (10, 8, 6)
-_ASYM_N = (10, 10, 3)
 
 
 def example2_scheme(ext: ExtendedRealization, seed: int = 0) -> LinearScheme:
@@ -378,9 +377,7 @@ def example2_scheme(ext: ExtendedRealization, seed: int = 0) -> LinearScheme:
     five generic streams.  Filters are left null spaces of the realized
     interference at each receiver.
     """
-    spec = ext.spec
-    expected = NetworkSpec.make(_ASYM_M, _ASYM_N, {(2, 0): 0})
-    if spec != expected:
+    if ext.spec != presets.mixed_dims_network():
         raise ConditionFails("this construction is specific to the (10x10)(8x10)(6x3) network")
     if ext.n != 1:
         raise DimensionMismatch("this construction uses a single channel use")

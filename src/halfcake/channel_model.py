@@ -43,12 +43,16 @@ class NetworkSpec:
 
     ``D[j][i]`` (i != j, 0-based) caps the rank of the channel from
     transmitter i to receiver j; diagonal entries are None (desired links
-    are always full rank).
+    are always full rank).  Construction runs ``validate_spec``, so an
+    invalid spec raises BadShape or RankExceedsDimension and never exists.
     """
 
     M: Tuple[int, ...]
     N: Tuple[int, ...]
     D: Tuple[Tuple[Optional[int], ...], ...]
+
+    def __post_init__(self):
+        validate_spec(self)
 
     @property
     def K(self) -> int:
@@ -115,7 +119,7 @@ class NetworkSpec:
                 else:
                     row.append(min(M[i], N[j]) if default == "full" else 0)
             rows.append(tuple(row))
-        return validate_spec(cls(M, N, tuple(rows)))
+        return cls(M, N, tuple(rows))
 
     @classmethod
     def square(cls, M: Sequence[int], cross: Optional[Cross] = None,
@@ -143,7 +147,7 @@ class NetworkSpec:
         spec = cls(M, N, D)
         if "K" in obj and _json_int(obj["K"], "K") != spec.K:
             raise BadShape("declared K disagrees with M length")
-        return validate_spec(spec)
+        return spec
 
 
 def _json_int(value, what: str) -> int:
@@ -257,7 +261,6 @@ def sample_generic(spec: NetworkSpec, seed: int = 0,
                    domain: ScalarDomain = ScalarDomain.complex_default(),
                    _salt: int = 0) -> ChannelRealization:
     """Generic realization: cross blocks hit their rank budgets almost surely."""
-    validate_spec(spec)
     p = None if domain.is_complex else domain.p
     blocks = {}
     for j in range(spec.K):
@@ -443,7 +446,6 @@ def extend_ergodic_pair(spec: NetworkSpec, seed: int = 0,
     The desired-slot difference is resampled until it has full rank, which
     holds almost surely on the first draw.
     """
-    validate_spec(spec)
     base = sample_generic(spec, seed, domain)
     p = None if domain.is_complex else domain.p
     for attempt in range(32):

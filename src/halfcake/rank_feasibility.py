@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
-from .channel_model import NetworkSpec, validate_spec
+from .channel_model import NetworkSpec
 from .errors import (
     CertificateInfeasible,
     ConditionFails,
@@ -98,10 +98,13 @@ def validate_certificate(spec: NetworkSpec, cert: ReducedRankCertificate
 def _max_flow_transportation(spec: NetworkSpec):
     """Edmonds-Karp on source -> tx_i -> rx_j -> sink.
 
-    Returns (value, per-arc cross flow, tx/rx nodes reachable in the final
-    residual graph).  The reachable sets describe a minimum cut when the
-    flow does not saturate.
+    Returns (value, certificate or None, tx/rx nodes reachable in the
+    final residual graph).  The certificate holds the cross flows when the
+    flow saturates every supply; otherwise the reachable sets describe a
+    minimum cut.
     """
+    if not spec.is_square:
+        raise NotSquareCase("reduced-rank sums are defined for the square case")
     K = spec.K
     S, T = 2 * K, 2 * K + 1
     cap: List[Dict[int, int]] = [dict() for _ in range(2 * K + 2)]
@@ -134,7 +137,7 @@ def _max_flow_transportation(spec: NetworkSpec):
         if T not in parent:
             reach_tx = [i for i in range(K) if i in parent]
             reach_rx = [j for j in range(K) if K + j in parent]
-            return value, flow, (reach_tx, reach_rx)
+            return value, _flow_certificate(spec, value, flow), (reach_tx, reach_rx)
         # bottleneck along the path, then push
         path = []
         v = T
@@ -151,12 +154,9 @@ def _max_flow_transportation(spec: NetworkSpec):
         value += push
 
 
-def reduced_rank_feasible(spec: NetworkSpec) -> Optional[ReducedRankCertificate]:
-    """Reduced ranks with exact row/column sums, or None when none exist."""
-    validate_spec(spec)
-    if not spec.is_square:
-        raise NotSquareCase("reduced-rank sums are defined for the square case")
-    value, flow, _ = _max_flow_transportation(spec)
+def _flow_certificate(spec: NetworkSpec, value: int, flow
+                      ) -> Optional[ReducedRankCertificate]:
+    """Cross flows as reduced ranks when the flow saturates, else None."""
     if value != spec.M_sigma:
         return None
     K = spec.K
@@ -164,23 +164,23 @@ def reduced_rank_feasible(spec: NetworkSpec) -> Optional[ReducedRankCertificate]
     for (u, v), f in flow.items():
         if u < K and K <= v < 2 * K:
             rows[v - K][u] = f
-    cert = ReducedRankCertificate.from_rows(rows)
-    return validate_certificate(spec, cert)
+    return validate_certificate(spec, ReducedRankCertificate.from_rows(rows))
+
+
+def reduced_rank_feasible(spec: NetworkSpec) -> Optional[ReducedRankCertificate]:
+    """Reduced ranks with exact row/column sums, or None when none exist."""
+    return _max_flow_transportation(spec)[1]
 
 
 def feasibility_evidence(spec: NetworkSpec) -> dict:
     """Max-flow value plus a certificate (feasible) or a min cut (infeasible)."""
-    validate_spec(spec)
-    if not spec.is_square:
-        raise NotSquareCase("reduced-rank sums are defined for the square case")
-    value, _, (reach_tx, reach_rx) = _max_flow_transportation(spec)
-    out = {"feasible": value == spec.M_sigma, "max_flow": value, "required": spec.M_sigma}
-    if not out["feasible"]:
+    value, cert, (reach_tx, reach_rx) = _max_flow_transportation(spec)
+    out = {"feasible": cert is not None, "max_flow": value, "required": spec.M_sigma}
+    if cert is None:
         out["cut"] = {
             "tx_source_side": [i + 1 for i in reach_tx],
             "rx_source_side": [j + 1 for j in reach_rx],
         }
-    cert = reduced_rank_feasible(spec) if out["feasible"] else None
     out["certificate"] = cert.to_json() if cert else None
     return out
 
@@ -328,7 +328,6 @@ def greedy_chip_allocation(spec: NetworkSpec) -> ReducedRankCertificate:
     own).  Works whenever no user has more antennas than all others
     combined.
     """
-    validate_spec(spec)
     if not spec.is_square:
         raise NotSquareCase("chip allocation is defined for the square case")
     for j in range(spec.K):
@@ -390,7 +389,6 @@ def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8,
     certificates.  Returns None when the stripped matrix is not
     generically full rank.
     """
-    validate_spec(spec)
     if not spec.is_square:
         raise NotSquareCase("reduction is defined for the square case")
     if generic_rank(spec, "stripped", trials=trials, seed=seed, p=p) != spec.M_sigma:
@@ -518,7 +516,6 @@ def _exceeding_scheme_notes(spec: NetworkSpec) -> List[str]:
 
 def half_cake_verdict(spec: NetworkSpec, seed: int = 0, trials: int = 8) -> HalfCakeVerdict:
     """Dispatch the optimality conditions, strongest evidence first."""
-    validate_spec(spec)
     if not spec.is_square:
         raise NotSquareCase("half-the-cake verdicts are defined for the square case")
     half = spec.half_cake

@@ -26,7 +26,6 @@ from .channel_model import (
     ExtendedRealization,
     NetworkSpec,
     _json_int,
-    validate_spec,
 )
 from .errors import (
     BadPartition,
@@ -55,12 +54,31 @@ class ReplicationPlan:
 
     ``assign[(j, beta, i)] = alpha`` says receiver replica (j, beta) hears
     transmitter replica (i, alpha) on the original (j, i) cross link; all
-    other replicas of user i stay disconnected from it.
+    other replicas of user i stay disconnected from it.  Construction
+    raises PlanViolatesDefinition1 or BadPartition unless every count is at
+    least 1, every receiver replica hears one replica of each interferer,
+    and the partition splits the replicas into two groups.
     """
 
     mu: Tuple[int, ...]
     assign: Dict[Tuple[int, int, int], int]
     partition: Tuple[Tuple[Replica, ...], Tuple[Replica, ...]]
+
+    def __post_init__(self):
+        K = len(_replica_counts(self.mu))
+        wiring = {(j, b, i) for j in range(K) for b in range(self.mu[j])
+                  for i in range(K) if i != j}
+        if self.assign.keys() != wiring:
+            j, beta, i = min(self.assign.keys() ^ wiring)
+            what = "missing" if (j, beta, i) in wiring else "not a cross link"
+            raise PlanViolatesDefinition1(
+                f"receiver ({j + 1},{beta + 1}) must hear each interferer once; "
+                f"its entry for user {i + 1} is {what}")
+        for (j, beta, i), alpha in self.assign.items():
+            if not 0 <= alpha < self.mu[i]:
+                raise PlanViolatesDefinition1(f"receiver ({j + 1},{beta + 1}) wired to missing "
+                                              f"replica {alpha + 1} of user {i + 1}")
+        _check_partition(self.mu, self.partition)
 
     @property
     def K(self) -> int:
@@ -79,8 +97,10 @@ class ReplicationPlan:
     @classmethod
     def from_shifts(cls, mu: Sequence[int], shifts, partition) -> "ReplicationPlan":
         """Circulant wiring: receiver copy beta hears transmitter copy beta + shift."""
-        mu = tuple(int(m) for m in mu)
+        mu = _replica_counts(mu)
         K = len(mu)
+        if len(shifts) != K or any(len(row) != K for row in shifts):
+            raise BadShape(f"plan shift table must be {K} x {K}")
         assign = {}
         for j in range(K):
             for i in range(K):
@@ -143,13 +163,6 @@ class ReplicationPlan:
                 }
         except (KeyError, TypeError, ValueError) as exc:
             raise BadShape(f"malformed replication plan: {exc}") from exc
-        if any(m < 1 for m in mu):
-            raise BadShape("plan replica counts must be positive")
-        if len(partition) != 2:
-            raise BadShape(f"plan partition needs two groups, got {len(partition)}")
-        if shifts is not None and (len(shifts) != len(mu)
-                                   or any(len(row) != len(mu) for row in shifts)):
-            raise BadShape(f"plan shift table must be {len(mu)} x {len(mu)}")
         if raw == "mirror":
             if any(m != 2 for m in mu):
                 raise PlanViolatesDefinition1("mirror wiring needs mu = 2 for every user")
@@ -161,9 +174,25 @@ class ReplicationPlan:
         raise BadShape("unrecognized plan assignment encoding")
 
 
-def _normalize_partition(partition) -> Tuple[Tuple[Replica, ...], Tuple[Replica, ...]]:
-    g1, g2 = partition
-    return (tuple((int(u), int(c)) for u, c in g1), tuple((int(u), int(c)) for u, c in g2))
+def _normalize_partition(partition) -> Tuple[Tuple[Replica, ...], ...]:
+    return tuple(tuple((int(u), int(c)) for u, c in group) for group in partition)
+
+
+def _replica_counts(mu: Sequence[int]) -> Tuple[int, ...]:
+    """``mu`` as a tuple of ints; PlanViolatesDefinition1 unless every count is at least 1."""
+    mu = tuple(int(m) for m in mu)
+    if any(m < 1 for m in mu):
+        raise PlanViolatesDefinition1("replica counts must be positive")
+    return mu
+
+
+def _check_partition(mu: Sequence[int], partition) -> None:
+    """BadPartition unless ``partition`` is two groups covering every replica exactly once."""
+    if len(partition) != 2:
+        raise BadPartition(f"partition needs two groups, got {len(partition)}")
+    seen = sorted(tuple(replica) for group in partition for replica in group)
+    if seen != [(i, a) for i, m in enumerate(mu) for a in range(m)]:
+        raise BadPartition("partition must cover every replica exactly once")
 
 
 def _as_shift_table(plan: ReplicationPlan):
@@ -174,11 +203,9 @@ def _as_shift_table(plan: ReplicationPlan):
         for i in range(K):
             if i == j:
                 continue
-            base = plan.assign.get((j, 0, i))
-            if base is None:
-                return None
+            base = plan.assign[(j, 0, i)]
             for beta in range(plan.mu[j]):
-                if plan.assign.get((j, beta, i)) != (beta + base) % plan.mu[i]:
+                if plan.assign[(j, beta, i)] != (beta + base) % plan.mu[i]:
                     return None
             shifts[j][i] = base
     return shifts
@@ -217,30 +244,10 @@ class ReplicatedNetwork:
 
 
 def build_replicated(spec: NetworkSpec, plan: ReplicationPlan) -> ReplicatedNetwork:
-    """Wire the replicated network, validating both wiring constraints."""
-    validate_spec(spec)
+    """Wire the replicated network of a plan with one replica count per user of ``spec``."""
     if plan.K != spec.K:
         raise PlanViolatesDefinition1("plan user count disagrees with the spec")
-    if any(m < 1 for m in plan.mu):
-        raise PlanViolatesDefinition1("replica counts must be positive")
     K = spec.K
-    for (j, beta, i), alpha in plan.assign.items():
-        if i == j:
-            raise PlanViolatesDefinition1("desired links are wired implicitly, not via assign")
-        if not (0 <= j < K and 0 <= i < K and 0 <= beta < plan.mu[j]):
-            raise PlanViolatesDefinition1(f"assignment key ({j}, {beta}, {i}) out of range")
-        if not 0 <= alpha < plan.mu[i]:
-            raise PlanViolatesDefinition1(
-                f"receiver ({j + 1},{beta + 1}) wired to missing replica {alpha + 1} of user {i + 1}"
-            )
-    for j in range(K):
-        for beta in range(plan.mu[j]):
-            for i in range(K):
-                if i != j and (j, beta, i) not in plan.assign:
-                    raise PlanViolatesDefinition1(
-                        f"receiver ({j + 1},{beta + 1}) has no wiring for interferer {i + 1}"
-                    )
-
     users = tuple((i, a) for i in range(K) for a in range(plan.mu[i]))
     idx = {u: t for t, u in enumerate(users)}
     source: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -301,22 +308,17 @@ class CooperativeChannel:
 
 def cooperate(repnet: ReplicatedNetwork,
               partition: Tuple[Sequence[Replica], Sequence[Replica]]) -> CooperativeChannel:
-    g1, g2 = _normalize_partition(partition)
-    seen = list(g1) + list(g2)
-    if sorted(seen) != sorted(repnet.users) or len(set(seen)) != len(seen):
-        raise BadPartition("partition must cover every replica exactly once")
+    partition = _normalize_partition(partition)
+    _check_partition(repnet.plan.mu, partition)
+    g1, g2 = partition
     spec = repnet.spec
     idx = {u: t for t, u in enumerate(repnet.users)}
     entries = {}
     for r, rx in enumerate(g2):
         for c, tx in enumerate(g1):
             src = repnet.source.get((idx[rx], idx[tx]))
-            if src is not None and src[0] != src[1]:
+            if src is not None:
                 entries[(r, c)] = src
-            elif src is not None:
-                # same-user desired block can never cross groups: replicas
-                # are whole users, so (i, a) -> (i, a) stays inside a group
-                raise BadPartition("internal: desired block crossed the partition")
     pattern = BlockPattern(
         tuple(spec.N[u] for u, _ in g2), tuple(spec.M[u] for u, _ in g1), entries
     )
@@ -551,7 +553,6 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
         raise InvalidArgument(f"mu_max must be >= 1, got {mu_max}")
     if budget < 1:
         raise InvalidArgument(f"budget must be >= 1, got {budget}")
-    validate_spec(spec)
     K = spec.K
     best_key = best_plan = None  # best_key = (value, mu, plan encoding)
     evals = 0
@@ -613,10 +614,9 @@ class CreatedNetwork:
 def build_created_network(spec: NetworkSpec, mu: Sequence[int], seed: int = 0
                           ) -> CreatedNetwork:
     """Unique-up-to-scalars network where every cross replica pair is connected."""
-    validate_spec(spec)
-    mu = tuple(int(m) for m in mu)
-    if len(mu) != spec.K or any(m < 1 for m in mu):
-        raise BadShape("need one positive replica count per user")
+    mu = _replica_counts(mu)
+    if len(mu) != spec.K:
+        raise BadShape("need one replica count per user")
     rng = rng_from(seed, 0xCE)
     users = tuple((i, a) for i in range(spec.K) for a in range(mu[i]))
     scalars = {}

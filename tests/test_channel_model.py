@@ -59,6 +59,15 @@ def test_validate_rejects_bad_shapes():
                                "D": [[None, 1], [1, None]]})
 
 
+def test_spec_construction_validates():
+    with pytest.raises(BadShape):
+        NetworkSpec((2, 2), (2,), ((None, 1), (1, None)))
+    with pytest.raises(BadShape):
+        NetworkSpec((2, 2), (2, 2), ((None, -1), (1, None)))
+    with pytest.raises(RankExceedsDimension):
+        NetworkSpec((2, 2), (2, 1), ((None, 2), (2, None)))
+
+
 def test_spec_json_roundtrip(asym_spec):
     again = NetworkSpec.from_json(json.loads(json.dumps(asym_spec.to_json())))
     assert again == asym_spec

@@ -180,6 +180,11 @@ BAD_INPUTS = {
     "plan-partition-one-group": (["bound"], _edit("plan", "partition", value=lambda g: g[:1])),
     "plan-partition-three-groups": (["bound"], _edit("plan", "partition",
                                                      value=lambda g: g + [[]])),
+    "tol-1": (["verify", "--tol", "1"], None),
+    "tol-inf": (["verify", "--tol", "inf"], None),
+    "tol-nan": (["verify", "--tol", "nan"], None),
+    "tol-0": (["verify", "--tol", "0"], None),
+    "tol-negative": (["analyze", "--tol", "-1"], None),
 }
 
 

@@ -83,6 +83,18 @@ def test_flow_counterexample_infeasible(counterexample_spec):
     }
 
 
+def test_feasibility_evidence_runs_one_max_flow(monkeypatch, reduced_spec):
+    from halfcake import rank_feasibility
+
+    calls = []
+    flow = rank_feasibility._max_flow_transportation
+    monkeypatch.setattr(rank_feasibility, "_max_flow_transportation",
+                        lambda spec: calls.append(spec) or flow(spec))
+    evidence = feasibility_evidence(reduced_spec)
+    assert len(calls) == 1
+    assert evidence["certificate"] == reduced_rank_feasible(reduced_spec).to_json()
+
+
 def test_flow_reduced_example_certificate(reduced_spec):
     cert = reduced_rank_feasible(reduced_spec)
     assert cert is not None

@@ -25,6 +25,7 @@ from halfcake import (
 from halfcake import presets
 from halfcake.errors import (
     BadPartition,
+    BadShape,
     InconsistentBound,
     InvalidArgument,
     NonUniformMu,
@@ -99,6 +100,51 @@ def test_partition_must_cover():
     with pytest.raises(BadPartition):
         cooperate(repnet, (((0, 0), (0, 1), (0, 0)),
                            ((1, 0), (1, 1), (2, 0), (2, 1))))
+
+
+def _mirror_with(assign_edit=None, partition_edit=None):
+    """Arguments of ``ReplicationPlan(...)`` for the 3-user mirror plan, with one edit."""
+    plan = ReplicationPlan.mirror(3)
+    assign = dict(plan.assign)
+    if assign_edit is not None:
+        assign_edit(assign)
+    partition = plan.partition if partition_edit is None else partition_edit(plan.partition)
+    return plan.mu, assign, partition
+
+
+#: invalid plan -> (constructor arguments, error raised on construction)
+BAD_PLANS = {
+    "gap": (_mirror_with(lambda a: a.pop((1, 0, 0))), PlanViolatesDefinition1),
+    "missing-replica": (_mirror_with(lambda a: a.update({(1, 0, 0): 5})),
+                        PlanViolatesDefinition1),
+    "desired-key": (_mirror_with(lambda a: a.update({(1, 0, 1): 0})), PlanViolatesDefinition1),
+    "key-out-of-range": (_mirror_with(lambda a: a.update({(1, 2, 0): 0})),
+                         PlanViolatesDefinition1),
+    "mu-zero": (((0, 2, 2), {}, ((), ())), PlanViolatesDefinition1),
+    "one-group": (_mirror_with(partition_edit=lambda p: p[:1]), BadPartition),
+    "three-groups": (_mirror_with(partition_edit=lambda p: p + ((),)), BadPartition),
+    "uncovered": (_mirror_with(partition_edit=lambda p: (p[0][1:], p[1])), BadPartition),
+    "twice": (_mirror_with(partition_edit=lambda p: (p[0] + ((0, 1),), p[1])), BadPartition),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLANS))
+def test_plan_construction_rejects_invalid_plans(case):
+    args, error = BAD_PLANS[case]
+    with pytest.raises(error):
+        ReplicationPlan(*args)
+
+
+def test_from_shifts_checks_counts_table_and_partition():
+    shifts = [[None, 1], [1, None]]
+    with pytest.raises(PlanViolatesDefinition1):
+        ReplicationPlan.from_shifts([0, 2], shifts, contiguous_partition([0, 2], [0, 1]))
+    with pytest.raises(BadShape):
+        ReplicationPlan.from_shifts([2, 2], [[None, 1]], contiguous_partition([2, 2], [1, 1]))
+    with pytest.raises(BadPartition):
+        ReplicationPlan.from_shifts([2, 2], shifts, contiguous_partition([2, 2], [1, 1]) + ((),))
+    with pytest.raises(PlanViolatesDefinition1):
+        build_created_network(NetworkSpec.square((2, 2)), (0, 2))
 
 
 def test_plan_json_roundtrip():
