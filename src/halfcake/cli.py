@@ -300,6 +300,8 @@ def main(argv=None) -> int:
     try:
         if args.trials < 1:
             raise InvalidArgument(f"--trials must be >= 1, got {args.trials}")
+        if not 0 < args.tol < 1:
+            raise InvalidArgument(f"tol must lie in (0, 1), got {args.tol}")
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -459,21 +459,25 @@ def _offset_class_shifts(K: int, mu: int):
 
 
 def _candidates(K: int, mu_max: int, budget: int, seed: int):
-    """Batches ``(mus, shifts, cuts, swap, ranked)`` of circulant candidates.
+    """Groups ``(mus, cuts, swap, tables, ranked)`` of circulant candidates.
 
-    First, for each mu <= mu_max, each offset-class shift table with every
-    per-user cut in both group orientations (``ranked``: the search walks
-    them best potential first).  Then up to ``2 * budget`` random full
-    shift tables with 2 <= mu <= mu_max, drawn lazily from one seeded
-    stream ``_CHUNK`` at a time (walked in draw order).
+    Cuts sit on the outer loop: a group's rows (replica count ``mus[n]``,
+    per-user cuts ``cuts[n]``, groups exchanged where ``swap[n]``) are
+    paired with each shift table that ``tables`` yields in turn, either one
+    K x K table for every row or one table per row.  Tables are built
+    lazily, so a consumer that stops iterating ``tables`` never builds the
+    rest.  First, for each mu <= mu_max, every per-user cut in both group
+    orientations, paired with each offset-class shift table (``ranked``:
+    the search walks each table's rows best potential first).  Then up to
+    ``2 * budget`` random rows with 2 <= mu <= mu_max and a random full
+    shift table each, drawn lazily from one seeded stream ``_CHUNK`` at a
+    time (walked in draw order).
     """
     for mu in range(1, mu_max + 1):
         one_side = np.array(list(product(range(mu + 1), repeat=K)), dtype=np.int64)
         cuts = np.concatenate([one_side, one_side])
         swap = np.repeat([False, True], len(one_side))
-        mus = np.full(len(cuts), mu)
-        for table in _offset_class_shifts(K, mu):
-            yield mus, np.broadcast_to(table, (len(cuts), K, K)), cuts, swap, True
+        yield np.full(len(cuts), mu), cuts, swap, _offset_class_shifts(K, mu), True
     if mu_max < 2:
         return
     rng = rng_from(seed, 0x5E)
@@ -484,7 +488,14 @@ def _candidates(K: int, mu_max: int, budget: int, seed: int):
         shifts = rng.integers(0, mus[:, None, None], size=(n, K, K)) * links
         cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
         swap = rng.integers(0, 2, size=n).astype(bool)
-        yield mus, shifts, cuts, swap, False
+        yield mus, cuts, swap, [shifts], False
+
+
+def _link_ranks(spec: NetworkSpec) -> np.ndarray:
+    """``D[j][i]`` as an int64 K x K array with a zero diagonal."""
+    K = spec.K
+    return np.array([[0 if i == j else spec.D[j][i] for i in range(K)] for j in range(K)],
+                    dtype=np.int64)
 
 
 def candidate_potentials(spec: NetworkSpec, mu: int, shifts, cuts, swap) -> np.ndarray:
@@ -504,8 +515,7 @@ def candidate_potentials(spec: NetworkSpec, mu: int, shifts, cuts, swap) -> np.n
     K = spec.K
     M = np.array(spec.M, dtype=np.int64)
     N = np.array(spec.N, dtype=np.int64)
-    D = np.array([[0 if i == j else spec.D[j][i] for i in range(K)] for j in range(K)],
-                 dtype=np.int64)[None, :, None, :]
+    D = _link_ranks(spec)[None, :, None, :]
     shifts, cuts, swap = np.asarray(shifts), np.asarray(cuts), np.asarray(swap, dtype=bool)
     copies = np.arange(mu)
     users = np.arange(K)
@@ -530,6 +540,35 @@ def candidate_potentials(spec: NetworkSpec, mu: int, shifts, cuts, swap) -> np.n
     return out
 
 
+def _potential_floors(spec: NetworkSpec, mus, cuts, swap) -> np.ndarray:
+    """Lower bound on ``candidate_potentials`` that holds for every shift table.
+
+    Row n has n1 = copies of each user in group 1 and n2 = mus[n] - n1 in
+    group 2.  A group-2 receiver copy of user j hears at most the
+    interferers with a copy in group 1, so its row budget is at most
+    rowcap_j = min(N_j, sum of D[j][i] over i with n1_i > 0); likewise a
+    group-1 transmitter copy of user i has column budget at most
+    colcap_i = min(M_i, sum of D[j][i] over j with n2_j > 0).  So the
+    structural cap is at most min(n2 . rowcap, n1 . colcap, Mbar1, Nbar2),
+    and Mbar1 + Nbar2 minus that depends only on (mu, cuts, swap).  With
+    mu = 1 every copy sits on its user's side and the floor is the potential.
+    """
+    M = np.array(spec.M, dtype=np.int64)
+    N = np.array(spec.N, dtype=np.int64)
+    D = _link_ranks(spec)
+    mus = np.asarray(mus)[:, None]
+    cuts = np.asarray(cuts)
+    n1 = np.where(np.asarray(swap, dtype=bool)[:, None], mus - cuts, cuts)
+    n2 = mus - n1
+    rowcap = np.minimum(N, (n1 > 0) @ D.T)
+    colcap = np.minimum(M, (n2 > 0) @ D)
+    mbar1 = n1 @ M
+    nbar2 = n2 @ N
+    cap = np.minimum(np.minimum((n2 * rowcap).sum(axis=1), (n1 * colcap).sum(axis=1)),
+                     np.minimum(mbar1, nbar2))
+    return mbar1 + nbar2 - cap
+
+
 def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int = 0,
                   certify_trials: int = 8) -> DofBound:
     """Best bound over circulant plans with contiguous cooperation groups.
@@ -538,13 +577,20 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     mu <= mu_max the offset-class shift tables with all per-user
     contiguous cuts in both group orientations, then up to ``2 * budget``
     seeded random full shift tables.  Candidates are screened
-    cheapest-first: the structural rank cap, computed on integer arrays by
-    ``candidate_potentials``, gives every candidate a potential (best
-    value it could still reach), and only candidates whose potential beats
-    the current best are built as plans and pay for a rank evaluation
-    over 2**61-1.  Offset-class candidates are walked by (potential,
-    partition), random ones in draw order.  ``budget`` bounds the work: at
-    most ``budget`` rank evaluations (memo hits are free) and at most
+    cheapest-first.  A floor that ignores the shift table
+    (``_potential_floors``, one value per mu, cuts and orientation) drops
+    the rows that cannot beat the current best before anything else is
+    computed.  The structural rank cap, computed on integer arrays by
+    ``candidate_potentials``, then gives each remaining row a potential
+    (best value it could still reach), and only rows whose potential
+    beats the current best are built as plans and pay for a rank
+    evaluation over 2**61-1.  Offset-class candidates are walked by
+    (potential, partition), random ones in draw order.  The best only
+    falls, so a mu whose least floor over all cuts cannot beat it never
+    can: its remaining offset-class tables are skipped, and the random
+    phase ends once no mu in 2..mu_max can win.  None of this changes the
+    rows that are evaluated or their order.  ``budget`` bounds the work:
+    at most ``budget`` rank evaluations (memo hits are free) and at most
     ``2 * budget`` random candidates scored.  The winner is re-certified
     at ``certify_trials``.  Ties break lexicographically on (bound, mu,
     plan encoding).
@@ -557,6 +603,8 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     best_key = best_plan = None  # best_key = (value, mu, plan encoding)
     evals = 0
     rank_memo: dict = {}
+    least_floor = np.zeros(mu_max + 1, dtype=np.int64)  # per mu, over all cuts and orientations
+    random_mus = np.arange(2, mu_max + 1)
 
     def beats_best(potential, mu):
         """Whether potential / mu is below the best value; broadcasts over arrays."""
@@ -564,32 +612,45 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
             return np.ones_like(potential, dtype=bool)
         return potential * best_key[0].denominator < best_key[0].numerator * mu
 
-    for mus, shifts, cuts, swap, ranked in _candidates(K, mu_max, budget, seed):
+    for mus, cuts, swap, tables, ranked in _candidates(K, mu_max, budget, seed):
         if evals >= budget:
             break
-        potentials = np.empty(len(mus), dtype=np.int64)
-        for mu in np.unique(mus):
-            sel = mus == mu
-            potentials[sel] = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel], swap[sel])
-        rows = [(int(potentials[n]), int(mus[n]), _oriented_partition(mus[n], cuts[n], swap[n]), n)
-                for n in np.flatnonzero(beats_best(potentials, mus))]
-        for potential, mu, partition, n in sorted(rows) if ranked else rows:
-            if evals >= budget:
+        floors = _potential_floors(spec, mus, cuts, swap)
+        if ranked:
+            least_floor[mus[0]] = floors.min()
+        elif not beats_best(least_floor[random_mus], random_mus).any():
+            break
+        for table in tables:
+            live = np.flatnonzero(beats_best(floors, mus))
+            if evals >= budget or not len(live):
                 break
-            if not beats_best(potential, mu):
-                continue
-            plan = ReplicationPlan.from_shifts([mu] * K, shifts[n], partition)
-            coop = cooperate(build_replicated(spec, plan), plan.partition)
-            key = (coop.pattern.row_sizes, coop.pattern.col_sizes,
-                   tuple(sorted(coop.pattern.entries.items())))
-            if key not in rank_memo:
-                evals += 1
-                rank_memo[key] = generic_rank_pattern(spec, coop.pattern, trials=_SCREEN_TRIALS,
-                                                      seed=(seed, evals))
-            value = Fraction(coop.Mbar1 + coop.Nbar2 - rank_memo[key], mu)
-            cand_key = (value, mu, plan.encoding())
-            if best_key is None or cand_key < best_key:
-                best_key, best_plan = cand_key, plan
+            shifts = np.broadcast_to(table, (len(mus), K, K))
+            potentials = np.zeros(len(mus), dtype=np.int64)
+            for mu in np.unique(mus[live]):
+                sel = live[mus[live] == mu]
+                potentials[sel] = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel],
+                                                       swap[sel])
+            rows = [(int(potentials[n]), int(mus[n]),
+                     _oriented_partition(mus[n], cuts[n], swap[n]), n)
+                    for n in live[beats_best(potentials[live], mus[live])]]
+            for potential, mu, partition, n in sorted(rows) if ranked else rows:
+                if evals >= budget:
+                    break
+                if not beats_best(potential, mu):
+                    continue
+                plan = ReplicationPlan.from_shifts([mu] * K, shifts[n], partition)
+                coop = cooperate(build_replicated(spec, plan), plan.partition)
+                key = (coop.pattern.row_sizes, coop.pattern.col_sizes,
+                       tuple(sorted(coop.pattern.entries.items())))
+                if key not in rank_memo:
+                    evals += 1
+                    rank_memo[key] = generic_rank_pattern(spec, coop.pattern,
+                                                          trials=_SCREEN_TRIALS,
+                                                          seed=(seed, evals))
+                value = Fraction(coop.Mbar1 + coop.Nbar2 - rank_memo[key], mu)
+                cand_key = (value, mu, plan.encoding())
+                if best_key is None or cand_key < best_key:
+                    best_key, best_plan = cand_key, plan
 
     return outer_bound(spec, best_plan, trials=certify_trials, seed=seed)
 

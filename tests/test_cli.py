@@ -185,7 +185,17 @@ BAD_INPUTS = {
     "tol-nan": (["verify", "--tol", "nan"], None),
     "tol-0": (["verify", "--tol", "0"], None),
     "tol-negative": (["analyze", "--tol", "-1"], None),
+    "tol-negative-bound": (["bound", "--tol", "-1"], None),
+    "tol-negative-feasibility": (["feasibility", "--tol", "-1"], None),
+    "tol-negative-sample": (["sample", "--tol", "-1"], None),
 }
+
+
+def test_reproduce_bad_tol_exits_2(capsys):
+    assert main(["reproduce", "theorem5", "--tol", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tol must lie in (0, 1), got -1.0\n"
 
 
 def _plan_2x2() -> dict:

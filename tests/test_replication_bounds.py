@@ -31,7 +31,7 @@ from halfcake.errors import (
     NonUniformMu,
     PlanViolatesDefinition1,
 )
-from halfcake.replication_bounds import DofBound, candidate_potentials
+from halfcake.replication_bounds import DofBound, _potential_floors, candidate_potentials
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +330,54 @@ def test_candidate_potentials_match_cooperation():
             assert got[n] == coop.Mbar1 + coop.Nbar2 - coop.pattern.structural_cap(spec)
             checked += 1
     assert checked == 600
+
+
+def test_potential_floor_never_exceeds_potential():
+    rng = np.random.default_rng(2025)
+    exact = 0
+    for _ in range(60):
+        K = int(rng.integers(2, 6))
+        M = tuple(int(v) for v in rng.integers(1, 5, size=K))
+        N = tuple(int(v) for v in rng.integers(1, 5, size=K))
+        # rank 0 on roughly a third of the links
+        cross = {(j, i): int(rng.integers(0, min(M[i], N[j]) + 1)) * int(rng.integers(0, 3) > 0)
+                 for j in range(K) for i in range(K) if i != j}
+        spec = NetworkSpec.make(M, N, cross)
+        mus = rng.integers(1, 5, size=20)
+        shifts = rng.integers(0, mus[:, None, None], size=(20, K, K))
+        cuts = rng.integers(0, mus[:, None] + 1, size=(20, K))
+        swap = rng.integers(0, 2, size=20).astype(bool)
+        floors = _potential_floors(spec, mus, cuts, swap)
+        for mu in np.unique(mus):
+            sel = mus == mu
+            got = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel], swap[sel])
+            assert (floors[sel] <= got).all()
+            if mu == 1:  # one copy per user: the shift table does not matter
+                assert (floors[sel] == got).all()
+                exact += int(sel.sum())
+    assert exact > 100
+
+
+#: SHA-256 of the sorted-key ``search_bounds(...).to_json()`` of searches whose
+#: floors prune nearly every candidate: (spec, mu_max) -> digest.  The comment
+#: is the bound.
+FLOOR_PINS = {
+    "full-rank K=4, M=4": (NetworkSpec.square((4,) * 4), 6,
+                           "3149d915a602775a11cbf34f4b7bebae046ec70beaf33f22ab4800e880d3308d"),  # 8
+    "K=4 (8,7,6,5), six reduced links": (
+        NetworkSpec.square((8, 7, 6, 5), {(0, 1): 4, (1, 0): 3, (2, 3): 2, (3, 2): 3,
+                                          (0, 2): 5, (1, 3): 4}), 6,
+        "68b8097c004cd89ef0e6480a7bcc2829a66cfb72e08ded8ebbdfff70509864c7"),  # 13
+    "full-rank K=5, M=3": (NetworkSpec.square((3,) * 5), 4,
+                           "8f94b6aba8bc20b8651f86effa04ed9144b12b2b6850181dacc782c2319a917c"),  # 15/2
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOOR_PINS))
+def test_search_pinned_where_floors_prune(name):
+    spec, mu_max, digest = FLOOR_PINS[name]
+    text = json.dumps(search_bounds(spec, mu_max=mu_max).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 #: search_bounds(spec, mu_max=3) per preset: bound, mu, rank, shift table, partition
