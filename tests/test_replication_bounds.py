@@ -239,6 +239,50 @@ def test_bound_json_keys(rect23_spec):
     assert out["Mbar1"] == 18 and out["Nbar2"] == 18
 
 
+#: two networks with rank-deficient cross links, and explicit circulant plans
+#: on them whose cooperation matrices (24x24 to 104x104, mostly zero blocks)
+#: stay below the structural cap, so all 8 prime-field trials run
+LADDER_SPECS = {
+    "cx": ((10, 8, 6), {(0, 1): 6, (1, 0): 5}),
+    "k4": ((8, 7, 6, 5), {(0, 1): 4, (1, 0): 3, (2, 3): 2, (3, 2): 3, (0, 2): 5, (1, 3): 4}),
+}
+
+#: (spec key, mu, shift table, cuts) -> (rank, bound), recorded at trials=8, seed=0
+LADDER_PINS = {
+    ("cx", 2, ((0, 1, 1), (1, 0, 1), (1, 1, 0)), (1, 1, 1)): (23, Fraction(25, 2)),
+    ("cx", 3, ((0, 1, 1), (2, 0, 2), (2, 1, 0)), (2, 1, 2)): (31, Fraction(41, 3)),
+    ("cx", 4, ((0, 3, 1), (1, 0, 2), (2, 1, 0)), (2, 3, 1)): (36, Fraction(15)),
+    ("cx", 5, ((0, 2, 3), (3, 0, 2), (3, 0, 0)), (3, 3, 1)): (44, Fraction(76, 5)),
+    ("cx", 6, ((0, 4, 4), (4, 0, 3), (1, 3, 0)), (2, 3, 4)): (55, Fraction(89, 6)),
+    ("cx", 7, ((0, 4, 3), (4, 0, 0), (4, 5, 0)), (4, 4, 2)): (70, Fraction(14)),
+    ("cx", 8, ((0, 5, 4), (4, 0, 3), (6, 1, 0)), (4, 5, 4)): (77, Fraction(115, 8)),
+    ("k4", 2, ((0, 1, 0, 1), (0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0)), (1, 1, 1, 1)):
+        (17, Fraction(35, 2)),
+    ("k4", 3, ((0, 0, 2, 1), (0, 0, 1, 2), (1, 2, 0, 1), (2, 1, 0, 0)), (1, 2, 2, 1)):
+        (34, Fraction(44, 3)),
+    ("k4", 4, ((0, 1, 2, 2), (1, 0, 3, 0), (3, 0, 0, 1), (3, 1, 3, 0)), (3, 1, 2, 1)):
+        (44, Fraction(15)),
+    ("k4", 5, ((0, 1, 4, 2), (3, 0, 3, 3), (4, 4, 0, 2), (1, 3, 0, 0)), (3, 2, 3, 2)):
+        (55, Fraction(15)),
+    ("k4", 6, ((0, 4, 5, 3), (3, 0, 3, 2), (2, 4, 0, 5), (5, 3, 4, 0)), (3, 3, 2, 2)):
+        (66, Fraction(15)),
+    ("k4", 7, ((0, 4, 0, 4), (2, 0, 4, 5), (4, 1, 0, 6), (3, 2, 4, 0)), (3, 4, 4, 3)):
+        (81, Fraction(101, 7)),
+    ("k4", 8, ((0, 3, 4, 6), (5, 0, 6, 5), (2, 4, 0, 3), (3, 0, 1, 0)), (4, 4, 4, 4)):
+        (91, Fraction(117, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_PINS), ids=lambda c: f"{c[0]}-mu{c[1]}")
+def test_outer_bound_pinned_on_large_circulant_plans(case):
+    key, mu, shifts, cuts = case
+    spec = NetworkSpec.square(*LADDER_SPECS[key])
+    plan = ReplicationPlan.from_shifts([mu] * spec.K, [list(row) for row in shifts],
+                                       contiguous_partition([mu] * spec.K, cuts))
+    bound = outer_bound(spec, plan, trials=8, seed=0)
+    assert (bound.rank, bound.value) == LADDER_PINS[case]
+
+
 # ---------------------------------------------------------------------------
 # weighted statements
 # ---------------------------------------------------------------------------
