@@ -11,18 +11,26 @@ certificate for desk-scale matrices.
 Exact ranks and products mod p run on one of two kernels, and neither
 uses object arrays:
 
-* p = 2**61-1, large inputs: uint64 elimination.  Each operand splits into
-  a 30-bit and a 31-bit limb, so limb products fit 62 bits; 2**61 = 1 and
-  2**62 = 2 mod p fold the high parts back, and ``(x & p) + (x >> 61)``
-  plus one conditional subtraction reduces.  A pivot updates only the
-  rows with a nonzero entry below it, right of its column.
-* p = 2**61-1, small inputs, and every other p: elimination and products
-  on plain rows of Python ints, which accept any p.
+* Rows of Python ints, which accept any p.  A rank is one elimination
+  that follows the sparsity of its input: cooperation matrices of
+  replicated networks are mostly zero blocks, since each receiver
+  replica hears one replica of each interferer.  Columns are swept in
+  order of their nonzero count, fewest first, and a pivot updates only
+  the rows with a nonzero in its column, only at its own nonzero
+  columns.  Entries grow as nonnegative Python ints and are reduced mod
+  p only where they are tested or used as multipliers.
+* p = 2**61-1: uint64 elimination.  Each operand splits into a 30-bit and
+  a 31-bit limb, so limb products fit 62 bits; 2**61 = 1 and 2**62 = 2
+  mod p fold the high parts back, and ``(x & p) + (x >> 61)`` plus one
+  conditional subtraction reduces.  A pivot updates only the rows with a
+  nonzero entry below it, right of its column.
 
-The cutoff between the two is a size, fixed from a measured
-crossover: the uint64 kernel spends about twenty numpy calls per pivot
-whatever the matrix size, which Python ints undercut on small matrices
-(below about 17 x 17 for a rank, 100 multiply-adds for a product).
+A rank at 2**61-1 starts on the Python-int rows and hands the rows and
+columns still live to the uint64 kernel once a pivot's update would
+touch more than ``_DENSE_CELLS`` cells: that kernel spends about twenty
+numpy calls per pivot whatever the size, which only a dense update
+repays.  A product at 2**61-1 takes the uint64 kernel from 100
+multiply-adds up.
 
 Numerical work on concrete complex realizations (null spaces for
 beamformer construction, decodability ranks) uses SVD with a relative
@@ -144,11 +152,13 @@ class ScalarDomain:
 # exact rank and products over a prime field
 # ---------------------------------------------------------------------------
 
-#: Below these sizes the uint64 kernels at 2**61-1 lose to Python ints: they
-#: pay about twenty numpy calls per pivot (per product) whatever the size.
-#: Crossovers measured on random dense residues: a rank at about 17 x 17
-#: cells, a product at about 100 multiply-adds (5 x 4 x 5).
-_RANK_CUTOFF_CELLS = 289
+#: The uint64 kernels at 2**61-1 pay about twenty numpy calls per pivot (per
+#: product) whatever the size, so Python ints win below these sizes.  A rank
+#: hands off once one pivot's update would touch more than _DENSE_CELLS
+#: cells; on dense residues Python ints win up to about 24 x 24, whose first
+#: pivot updates 529 cells.  A product crosses over at about 100
+#: multiply-adds (5 x 4 x 5).
+_DENSE_CELLS = 400
 _MATMUL_CUTOFF_MACS = 100
 
 _P61 = np.uint64(MERSENNE61)
@@ -231,42 +241,50 @@ def _rank_m61(A: np.ndarray) -> int:
     return r
 
 
-def _rank_rows(rows: list, p: int) -> int:
-    """Rank mod p of equal-length rows of Python-int residues; overwrites rows."""
-    if len(rows) > len(rows[0]):
-        rows = [list(col) for col in zip(*rows)]  # fewer, longer rows
-    m, n = len(rows), len(rows[0])
-    r = 0
-    for c in range(n):
-        for i in range(r, m):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        piv = rows[i]
-        rows[i], rows[r] = rows[r], piv
-        neg_inv = p - pow(piv[c], -1, p)
-        tail = piv[c + 1 :]
-        for row in rows[r + 1 :]:
-            if row[c]:
-                f = row[c] * neg_inv % p
-                row[c + 1 :] = [(x + f * y) % p for x, y in zip(row[c + 1 :], tail)]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 def rank_mod_p(mat, p: int = MERSENNE61) -> int:
-    """Exact rank of an integer matrix over the field of integers mod p."""
+    """Exact rank of an integer matrix over the field of integers mod p.
+
+    Sparse-first elimination on rows of Python ints.  Entries stay
+    nonnegative, so they are exact unreduced; an entry is reduced mod p
+    only when it is zero-tested in the pivot column or multiplies an update
+    as a pivot-row entry.  At 2**61-1 the live rows, from the pivot column
+    on, go to ``_rank_m61`` once a pivot's update would touch more than
+    ``_DENSE_CELLS`` cells.
+    """
     A = np.asarray(mat)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if 0 in A.shape:
         return 0
-    if p == MERSENNE61 and A.size >= _RANK_CUTOFF_CELLS:
-        return _rank_m61(_residues(A, mat, p).view(np.uint64))
-    return _rank_rows(_residue_rows(A, mat, p), p)
+    if p < 1 << 63:
+        R = _residues(A, mat, p)
+        col_nnz = np.count_nonzero(R, axis=0)
+        # no first pivot updates fewer cells: a dense input skips the Python rows
+        least = (col_nnz.min() - 1) * (np.count_nonzero(R, axis=1).min() - 1)
+        if p == MERSENNE61 and least > _DENSE_CELLS:
+            return _rank_m61(R.view(np.uint64))
+        rows = R[:, np.argsort(col_nnz, kind="stable")].tolist()
+    else:
+        rows = _residue_rows(A, mat, p)  # no machine-word counts: input order
+    n = len(rows[0])
+    r = 0
+    for c in range(n):
+        hits = [row for row in rows if row[c] % p]
+        if not hits:
+            continue
+        piv = hits[0]
+        tail = [(k, v) for k in range(c + 1, n) if (v := piv[k] % p)]
+        if p == MERSENNE61 and (len(hits) - 1) * len(tail) > _DENSE_CELLS:
+            live = [[y % p for y in row[c:]] for row in rows]
+            return r + _rank_m61(np.array(live, dtype=np.uint64))
+        r += 1
+        rows = [row for row in rows if row is not piv]
+        neg_inv = p - pow(piv[c] % p, -1, p)
+        for row in hits[1:]:
+            f = row[c] * neg_inv % p
+            for k, y in tail:
+                row[k] += f * y
+    return r
 
 
 def matmul_mod_p(A, B, p: int = MERSENNE61) -> np.ndarray:

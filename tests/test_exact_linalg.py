@@ -8,8 +8,12 @@ import pytest
 from halfcake import (
     MERSENNE61,
     NetworkSpec,
+    ReplicationPlan,
     ScalarDomain,
     StructuredMatrix,
+    build_replicated,
+    contiguous_partition,
+    cooperate,
     det_nonzero_with_var_zeroed,
     generic_rank,
     left_null_space_basis,
@@ -21,7 +25,8 @@ from halfcake import (
     strip_desired,
 )
 from halfcake.errors import NotSquare
-from halfcake.exact_linalg import matmul_mod_p, spec_pattern
+from halfcake import exact_linalg
+from halfcake.exact_linalg import instantiate_pattern, matmul_mod_p, spec_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +376,91 @@ def test_matmul_matches_python_ints(mkn, p):
     if k:  # nested lists cannot carry an empty inner dimension
         big = np.array([[x + 7 ** 40 * p for x in row] for row in B.tolist()], dtype=object)
         assert matmul_mod_p(A.tolist(), big, p).tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination: block-sparse inputs and the hand-off to the uint64 kernel
+# ---------------------------------------------------------------------------
+
+
+def _circulant_cooperation(seed: int, p: int) -> np.ndarray:
+    """One instantiation of the cooperation pattern of a random circulant plan."""
+    rng = np.random.default_rng(seed)
+    spec = random_square_spec((seed, 0x5C), K_min=3, K_max=4, M_max=6)
+    mu = [int(rng.integers(2, 6))] * spec.K
+    shifts = rng.integers(0, mu[0], size=(spec.K, spec.K)).tolist()
+    partition = contiguous_partition(mu, rng.integers(0, mu[0] + 1, size=spec.K).tolist())
+    plan = ReplicationPlan.from_shifts(mu, shifts, partition)
+    pattern = cooperate(build_replicated(spec, plan), plan.partition).pattern
+    return instantiate_pattern(spec, pattern, rng, p)
+
+
+def _repeated_blocks(seed: int, p: int) -> np.ndarray:
+    """Block matrix of zero blocks and low-rank blocks, each block placed several times."""
+    rng = np.random.default_rng(seed)
+    row_sizes = rng.integers(2, 7, size=int(rng.integers(3, 7))).tolist()
+    col_sizes = rng.integers(2, 7, size=int(rng.integers(3, 7))).tolist()
+    r_off, c_off = np.cumsum([0] + row_sizes), np.cumsum([0] + col_sizes)
+    out = np.zeros((r_off[-1], c_off[-1]), dtype=np.int64)
+    blocks = {}
+    for r, rs in enumerate(row_sizes):
+        for c, cs in enumerate(col_sizes):
+            if rng.random() < 0.5:
+                continue
+            key = (rs, cs, int(rng.integers(0, 2)))  # two blocks to choose from per shape
+            if key not in blocks:
+                k = int(rng.integers(1, min(rs, cs) + 1))
+                blocks[key] = matmul_mod_p(rng.integers(0, p, size=(rs, k), dtype=np.int64),
+                                           rng.integers(0, p, size=(k, cs), dtype=np.int64), p)
+            out[r_off[r] : r_off[r + 1], c_off[c] : c_off[c + 1]] = blocks[key]
+    return out
+
+
+def _arrow(seed: int, k: int, s: int, b: int, p: int) -> np.ndarray:
+    """[[D, B], [E, 0]], D and E diagonal k x k, B k x s of rank b; rows and columns shuffled.
+
+    The k sparse columns are swept first, and their pivots fill the bottom
+    rows in with a multiple of B, so the remainder is k x s and dense."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((2 * k, k + s), dtype=np.int64)
+    A[:k, :k] = np.diag(rng.integers(1, p, size=k))
+    A[k:, :k] = np.diag(rng.integers(1, p, size=k))
+    A[:k, k:] = matmul_mod_p(rng.integers(0, p, size=(k, b), dtype=np.int64),
+                             rng.integers(0, p, size=(b, s), dtype=np.int64), p)
+    return A[rng.permutation(2 * k)][:, rng.permutation(k + s)]
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, P41])
+def test_rank_of_block_sparse_inputs_matches_reference(p):
+    cases = [_circulant_cooperation(seed, p) for seed in range(16)]
+    cases += [_repeated_blocks(seed, p) for seed in range(16)]
+    deficient = 0
+    for A in cases:
+        expected = reference_rank(A.tolist(), p)
+        assert rank_mod_p(A, p) == expected
+        deficient += expected < min(A.shape)
+    assert deficient >= len(cases) // 2  # cancellation, not just full rank, is exercised
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, P41])
+def test_rank_handed_to_uint64_kernel_matches_reference(p, monkeypatch):
+    kernel, handed = exact_linalg._rank_m61, []
+    monkeypatch.setattr(exact_linalg, "_rank_m61",
+                        lambda A: handed.append(A.shape) or kernel(A))
+    rng = np.random.default_rng(40)
+    # the remainder after the sparse columns: full rank, then rank-deficient
+    part_way = [_arrow(seed, 30, 24, b, p) for seed, b in enumerate((24, 24, 11))]
+    # dense, whole or with zero rows that leave the first pivot to the loop
+    dense = [matmul_mod_p(rng.integers(0, p, size=(m, r), dtype=np.int64),
+                          rng.integers(0, p, size=(r, n), dtype=np.int64), p)
+             for m, n, r in ((40, 40, 40), (40, 40, 31), (64, 48, 48), (48, 64, 37))]
+    dense += [_planted(rng, shape, 35, p) for shape in ((40, 40), (52, 44))]
+    for A in part_way + dense:
+        handed.clear()
+        assert rank_mod_p(A, p) == reference_rank(A.tolist(), p)
+        if p != MERSENNE61:
+            assert handed == []  # other primes stay on Python ints
+            continue
+        assert len(handed) == 1
+        if any(A is B for B in part_way):  # after some pivots, with fewer rows and columns
+            assert handed[0][0] < A.shape[0] and handed[0][1] < A.shape[1]
