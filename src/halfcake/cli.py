@@ -8,6 +8,7 @@ lowest terms.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -243,6 +244,7 @@ def cmd_reproduce(args) -> int:
     return 0 if report["ok"] else 1
 
 
+@functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halfcake",
