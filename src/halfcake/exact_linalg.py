@@ -258,9 +258,10 @@ def rank_mod_p(mat, p: int = MERSENNE61) -> int:
         return 0
     if p < 1 << 63:
         R = _residues(A, mat, p)
-        col_nnz = np.count_nonzero(R, axis=0)
+        nz = R != 0
+        col_nnz = nz.sum(axis=0)
         # no first pivot updates fewer cells: a dense input skips the Python rows
-        least = (col_nnz.min() - 1) * (np.count_nonzero(R, axis=1).min() - 1)
+        least = (col_nnz.min() - 1) * (nz.sum(axis=1).min() - 1)
         if p == MERSENNE61 and least > _DENSE_CELLS:
             return _rank_m61(R.view(np.uint64))
         rows = R[:, np.argsort(col_nnz, kind="stable")].tolist()
