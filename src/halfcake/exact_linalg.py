@@ -245,7 +245,7 @@ def rank_mod_p(mat, p: int = MERSENNE61) -> int:
     """Exact rank of an integer matrix over the field of integers mod p.
 
     Sparse-first elimination on rows of Python ints.  Entries stay
-    nonnegative, so they are exact unreduced; an entry is reduced mod p
+    nonnegative and exact without reduction; an entry is reduced mod p
     only when it is zero-tested in the pivot column or multiplies an update
     as a pivot-row entry.  At 2**61-1 the live rows, from the pivot column
     on, go to ``_rank_m61`` once a pivot's update would touch more than

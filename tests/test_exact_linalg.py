@@ -267,7 +267,8 @@ P41 = 1_099_511_627_791
 #: residues that sit on the limb and fold boundaries of the uint64 kernel
 EDGE_RESIDUES = (0, 1, MERSENNE61 - 1, (1 << 32) - 1, 1 << 32, 1 << 60)
 
-#: square and rectangular shapes on both sides of the Python-int cutoff
+#: square and rectangular shapes, small enough to stay on Python ints and large
+#: enough to be handed to the uint64 kernel at 2**61-1
 KERNEL_SHAPES = [(1, 1), (1, 9), (9, 1), (3, 5), (8, 8), (12, 30), (30, 12), (16, 16),
                  (17, 17), (18, 18), (24, 24), (40, 25), (60, 60), (110, 97)]
 
