@@ -397,7 +397,7 @@ def _circulant_cooperation(seed: int, p: int) -> np.ndarray:
 
 
 def _repeated_blocks(seed: int, p: int) -> np.ndarray:
-    """Block matrix of zero blocks and low-rank blocks, each block placed several times."""
+    """Block matrix of zero blocks and low-rank blocks, the same block reused in several places."""
     rng = np.random.default_rng(seed)
     row_sizes = rng.integers(2, 7, size=int(rng.integers(3, 7))).tolist()
     col_sizes = rng.integers(2, 7, size=int(rng.integers(3, 7))).tolist()
@@ -457,11 +457,10 @@ def test_rank_handed_to_uint64_kernel_matches_reference(p, monkeypatch):
              for m, n, r in ((40, 40, 40), (40, 40, 31), (64, 48, 48), (48, 64, 37))]
     dense += [_planted(rng, shape, 35, p) for shape in ((40, 40), (52, 44))]
     for A in part_way + dense:
-        handed.clear()
         assert rank_mod_p(A, p) == reference_rank(A.tolist(), p)
-        if p != MERSENNE61:
-            assert handed == []  # other primes stay on Python ints
-            continue
-        assert len(handed) == 1
-        if any(A is B for B in part_way):  # after some pivots, with fewer rows and columns
-            assert handed[0][0] < A.shape[0] and handed[0][1] < A.shape[1]
+    if p != MERSENNE61:
+        assert handed == []  # other primes stay on Python ints
+        return
+    assert len(handed) == len(part_way + dense)  # one hand-off per input
+    # an arrow is handed off after its sparse pivots, with fewer rows and columns
+    assert all(m < A.shape[0] and n < A.shape[1] for (m, n), A in zip(handed, part_way))
