@@ -6,7 +6,10 @@ field: each trial instantiates the rank-bounded blocks with random factor
 products mod p and takes the exact elimination rank.  The maximum over
 trials never exceeds the generic rank, and reaches it with per-trial
 failure probability at most (total degree)/p, so a handful of trials is a
-certificate for desk-scale matrices.
+certificate for desk-scale matrices.  The trials are a maximum, not a
+fixed count: the max flow through block rows, block rank budgets and
+block columns bounds the rank of every instantiation, and a trial that
+reaches it has found the generic rank exactly and ends the loop.
 
 Exact ranks and products mod p run on one of two kernels, and neither
 uses object arrays:
@@ -39,6 +42,7 @@ singular-value tolerance.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
@@ -67,7 +71,18 @@ def seed_key(*parts) -> tuple:
 
 
 def rng_from(*parts) -> np.random.Generator:
-    return np.random.default_rng(seed_key(*parts))
+    """``np.random.default_rng(seed_key(*parts))``, without numpy's coercion of each part.
+
+    Its SeedSequence gets the uint32 words numpy would derive: each 64-bit
+    part becomes its low word, then its high word if that is nonzero.
+    """
+    words = []
+    for x in seed_key(*parts):
+        words.append(x & 0xFFFFFFFF)
+        if x >> 32:
+            words.append(x >> 32)
+    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(entropy))
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -386,6 +401,65 @@ class BlockPattern:
         cols = sum(min(sz, b) for sz, b in zip(self.col_sizes, col_budget))
         return min(rows, cols, *self.shape)
 
+    def flow_cap(self, spec) -> int:
+        """Exact upper bound on the rank of every instantiation: the max flow
+        source -> block row (its size) -> block (its rank budget) -> block
+        column (its size) -> sink.
+
+        Each block is one arc from its row to its column.  A cut picks whole
+        block rows, whole block columns and the budgets of the blocks outside
+        both; together they cover every nonzero, so their total bounds the
+        rank.  ``structural_cap`` is such a cut, so this never exceeds it.
+        """
+        R, C = len(self.row_sizes), len(self.col_sizes)
+        S, T = R + C, R + C + 1
+        cap = [{} for _ in range(R + C + 2)]
+        cap[S] = dict(enumerate(self.row_sizes))
+        for (r, c), (j, i) in self.entries.items():
+            cap[r][R + c] = _block_rank_bound(spec, j, i)
+        for c, size in enumerate(self.col_sizes):
+            cap[R + c][T] = size
+        return _max_flow(cap, S, T)[0]
+
+
+def _max_flow(cap: list, source: int, sink: int):
+    """Edmonds-Karp max flow on nodes 0..len(cap)-1; ``cap[u]`` maps each
+    successor of u to the arc's capacity.
+
+    Returns (value, net flow on each arc as ``{(u, v): f}``, the nodes
+    reachable from ``source`` in the final residual graph: the source side
+    of a minimum cut).
+    """
+    adjacency = [set(out) for out in cap]
+    residual = [dict(out) for out in cap]
+    for u, out in enumerate(cap):
+        for v in out:
+            adjacency[v].add(u)
+            residual[v].setdefault(u, 0)
+    value = 0
+    while True:
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                if v not in parent and residual[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            flow = {(u, v): c - residual[u][v] for u, out in enumerate(cap) for v, c in out.items()}
+            return value, flow, set(parent)
+        path = []
+        v = sink
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        value += push
+
 
 def _offsets(sizes) -> tuple:
     """Start offsets of consecutive blocks, plus the total: (0, s0, s0 + s1, ...)."""
@@ -444,14 +518,24 @@ def instantiate_pattern(spec, pattern: BlockPattern, rng, p: int = MERSENNE61) -
 
 def generic_rank_pattern(spec, pattern: BlockPattern, trials: int = 8, seed: int = 0,
                          p: int = MERSENNE61) -> int:
-    """Generic rank of a block pattern: max exact rank over seeded trials."""
+    """Generic rank of a block pattern: max exact rank over at most ``trials``
+    seeded trials.
+
+    No trial's rank exceeds ``pattern.flow_cap(spec)``, so a trial that
+    reaches it has the generic rank, exactly, and ends the loop.  The flow
+    is worked out only once a trial falls short of the cheaper
+    ``structural_cap`` with trials left, so one-trial calls never pay for
+    it.  Either way the result is the max over all ``trials`` trials.
+    """
     if trials < 1:
         raise InvalidArgument(f"trials must be >= 1, got {trials}")
-    cap = pattern.structural_cap(spec)
+    cap, tight = pattern.structural_cap(spec), False
     best = 0
     for t in range(trials):
         rng = rng_from(seed, 0x6C, t)
         best = max(best, rank_mod_p(instantiate_pattern(spec, pattern, rng, p), p))
+        if best < cap and not tight and t + 1 < trials:
+            cap, tight = pattern.flow_cap(spec), True
         if best >= cap:
             break
     return best

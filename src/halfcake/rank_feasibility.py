@@ -13,7 +13,6 @@ the earlier full-rank / uniform-rank results.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -28,7 +27,13 @@ from .errors import (
     NotSymmetric,
     WrongK,
 )
-from .exact_linalg import MERSENNE61, StructuredMatrix, det_nonzero_with_var_zeroed, generic_rank
+from .exact_linalg import (
+    MERSENNE61,
+    StructuredMatrix,
+    _max_flow,
+    det_nonzero_with_var_zeroed,
+    generic_rank,
+)
 
 OPTIMAL_CERTIFIED = "OPTIMAL_CERTIFIED"
 MORE_THAN_HALF_POSSIBLE = "MORE_THAN_HALF_POSSIBLE"
@@ -96,7 +101,7 @@ def validate_certificate(spec: NetworkSpec, cert: ReducedRankCertificate
 
 
 def _max_flow_transportation(spec: NetworkSpec):
-    """Edmonds-Karp on source -> tx_i -> rx_j -> sink.
+    """Max flow on source -> tx_i -> rx_j -> sink.
 
     Returns (value, certificate or None, tx/rx nodes reachable in the
     final residual graph).  The certificate holds the cross flows when the
@@ -114,44 +119,10 @@ def _max_flow_transportation(spec: NetworkSpec):
         for j in range(K):
             if j != i and spec.D[j][i] > 0:
                 cap[i][K + j] = spec.D[j][i]
-    flow: Dict[Tuple[int, int], int] = {}
-
-    def residual(u, v):
-        return cap[u].get(v, 0) - flow.get((u, v), 0) + flow.get((v, u), 0)
-
-    adjacency = [set(cap[u]) for u in range(2 * K + 2)]
-    for u in range(2 * K + 2):
-        for v in cap[u]:
-            adjacency[v].add(u)
-
-    value = 0
-    while True:
-        parent = {S: None}
-        queue = deque([S])
-        while queue and T not in parent:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in parent and residual(u, v) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if T not in parent:
-            reach_tx = [i for i in range(K) if i in parent]
-            reach_rx = [j for j in range(K) if K + j in parent]
-            return value, _flow_certificate(spec, value, flow), (reach_tx, reach_rx)
-        # bottleneck along the path, then push
-        path = []
-        v = T
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        push = min(residual(u, v) for u, v in path)
-        for u, v in path:
-            back = min(flow.get((v, u), 0), push)
-            if back:
-                flow[(v, u)] -= back
-            if push - back:
-                flow[(u, v)] = flow.get((u, v), 0) + push - back
-        value += push
+    value, flow, reach = _max_flow(cap, S, T)
+    reach_tx = [i for i in range(K) if i in reach]
+    reach_rx = [j for j in range(K) if K + j in reach]
+    return value, _flow_certificate(spec, value, flow), (reach_tx, reach_rx)
 
 
 def _flow_certificate(spec: NetworkSpec, value: int, flow

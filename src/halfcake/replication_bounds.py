@@ -66,6 +66,7 @@ class ReplicationPlan:
 
     def __post_init__(self):
         K = len(_replica_counts(self.mu))
+        _check_partition(self.mu, self.partition)  # bounds sum(mu) before the wiring expands it
         wiring = {(j, b, i) for j in range(K) for b in range(self.mu[j])
                   for i in range(K) if i != j}
         if self.assign.keys() != wiring:
@@ -78,7 +79,6 @@ class ReplicationPlan:
             if not 0 <= alpha < self.mu[i]:
                 raise PlanViolatesDefinition1(f"receiver ({j + 1},{beta + 1}) wired to missing "
                                               f"replica {alpha + 1} of user {i + 1}")
-        _check_partition(self.mu, self.partition)
 
     @property
     def K(self) -> int:
@@ -101,6 +101,8 @@ class ReplicationPlan:
         K = len(mu)
         if len(shifts) != K or any(len(row) != K for row in shifts):
             raise BadShape(f"plan shift table must be {K} x {K}")
+        partition = _normalize_partition(partition)
+        _check_partition(mu, partition)
         assign = {}
         for j in range(K):
             for i in range(K):
@@ -109,7 +111,7 @@ class ReplicationPlan:
                 s = int(shifts[j][i])
                 for beta in range(mu[j]):
                     assign[(j, beta, i)] = (beta + s) % mu[i]
-        return cls(mu, assign, _normalize_partition(partition))
+        return cls(mu, assign, partition)
 
     @classmethod
     def mirror(cls, K: int, partition=None) -> "ReplicationPlan":
@@ -191,7 +193,7 @@ def _check_partition(mu: Sequence[int], partition) -> None:
     if len(partition) != 2:
         raise BadPartition(f"partition needs two groups, got {len(partition)}")
     seen = sorted(tuple(replica) for group in partition for replica in group)
-    if seen != [(i, a) for i, m in enumerate(mu) for a in range(m)]:
+    if len(seen) != sum(mu) or seen != [(i, a) for i, m in enumerate(mu) for a in range(m)]:
         raise BadPartition("partition must cover every replica exactly once")
 
 

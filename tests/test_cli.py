@@ -180,6 +180,11 @@ BAD_INPUTS = {
     "plan-partition-one-group": (["bound"], _edit("plan", "partition", value=lambda g: g[:1])),
     "plan-partition-three-groups": (["bound"], _edit("plan", "partition",
                                                      value=lambda g: g + [[]])),
+    # a partition of 4 replicas is rejected before 2 * 10**30 replicas are wired
+    "plan-mu-huge": (["bound"], _edit("plan", "mu", value=[10 ** 30, 10 ** 30])),
+    "plan-mu-huge-table": (["bound"], lambda blobs: blobs["plan"].update(
+        mu=[10 ** 30, 10 ** 30],
+        assign={"table": [[1, 1, 2, 1], [1, 2, 2, 2], [2, 1, 1, 1], [2, 2, 1, 2]]})),
     "tol-1": (["verify", "--tol", "1"], None),
     "tol-inf": (["verify", "--tol", "inf"], None),
     "tol-nan": (["verify", "--tol", "nan"], None),

@@ -15,6 +15,7 @@ from halfcake import (
     contiguous_partition,
     cooperate,
     det_nonzero_with_var_zeroed,
+    feasibility_evidence,
     generic_rank,
     left_null_space_basis,
     null_space_basis,
@@ -26,7 +27,14 @@ from halfcake import (
 )
 from halfcake.errors import NotSquare
 from halfcake import exact_linalg
-from halfcake.exact_linalg import instantiate_pattern, matmul_mod_p, spec_pattern
+from halfcake.exact_linalg import (
+    generic_rank_pattern,
+    instantiate_pattern,
+    matmul_mod_p,
+    rng_from,
+    seed_key,
+    spec_pattern,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +392,20 @@ def test_matmul_matches_python_ints(mkn, p):
 # ---------------------------------------------------------------------------
 
 
+def _circulant_pattern(spec, rng, mu_min: int, mu_max: int):
+    """Cooperation pattern of a random circulant plan with uniform mu in [mu_min, mu_max]."""
+    mu = [int(rng.integers(mu_min, mu_max + 1))] * spec.K
+    shifts = rng.integers(0, mu[0], size=(spec.K, spec.K)).tolist()
+    partition = contiguous_partition(mu, rng.integers(0, mu[0] + 1, size=spec.K).tolist())
+    plan = ReplicationPlan.from_shifts(mu, shifts, partition)
+    return cooperate(build_replicated(spec, plan), plan.partition).pattern
+
+
 def _circulant_cooperation(seed: int, p: int) -> np.ndarray:
     """One instantiation of the cooperation pattern of a random circulant plan."""
     rng = np.random.default_rng(seed)
     spec = random_square_spec((seed, 0x5C), K_min=3, K_max=4, M_max=6)
-    mu = [int(rng.integers(2, 6))] * spec.K
-    shifts = rng.integers(0, mu[0], size=(spec.K, spec.K)).tolist()
-    partition = contiguous_partition(mu, rng.integers(0, mu[0] + 1, size=spec.K).tolist())
-    plan = ReplicationPlan.from_shifts(mu, shifts, partition)
-    pattern = cooperate(build_replicated(spec, plan), plan.partition).pattern
-    return instantiate_pattern(spec, pattern, rng, p)
+    return instantiate_pattern(spec, _circulant_pattern(spec, rng, 2, 5), rng, p)
 
 
 def _repeated_blocks(seed: int, p: int) -> np.ndarray:
@@ -464,3 +476,51 @@ def test_rank_handed_to_uint64_kernel_matches_reference(p, monkeypatch):
     assert len(handed) == len(part_way + dense)  # one hand-off per input
     # an arrow is handed off after its sparse pivots, with fewer rows and columns
     assert all(m < A.shape[0] and n < A.shape[1] for (m, n), A in zip(handed, part_way))
+
+
+# ---------------------------------------------------------------------------
+# block max-flow cap: a bound on every trial that ends generic-rank trials
+# ---------------------------------------------------------------------------
+
+
+def _flow_cap_cases():
+    """(spec, pattern): cooperation patterns of random circulant plans, then stripped patterns."""
+    cases = []
+    for t in range(160):
+        spec = random_square_spec((t, 0xF1), K_min=2, K_max=5, M_max=6)
+        cases.append((spec, _circulant_pattern(spec, np.random.default_rng(t), 1, 4)))
+    for t in range(40):
+        spec = random_square_spec((t, 0xF2), K_min=2, K_max=5, M_max=6)
+        cases.append((spec, spec_pattern(spec, "stripped")))
+    return cases
+
+
+def test_flow_cap_bounds_every_trial_and_ends_trials_exactly():
+    stopped_early = 0
+    for n, (spec, pattern) in enumerate(_flow_cap_cases()):
+        flow, structural = pattern.flow_cap(spec), pattern.structural_cap(spec)
+        assert flow <= structural
+        ranks = [rank_mod_p(instantiate_pattern(spec, pattern, rng_from(n, 0x6C, t)))
+                 for t in range(8)]
+        assert max(ranks) <= flow
+        # the early stop returns what a run of all 8 trials returns
+        assert generic_rank_pattern(spec, pattern, trials=8, seed=n) == max(ranks)
+        stopped_early += max(ranks) == flow < structural
+    assert stopped_early >= 8  # the flow, not the structural cap, ends these trials
+
+
+def test_flow_cap_of_stripped_pattern_is_lemma1_max_flow():
+    for t in range(60):
+        spec = random_square_spec((t, 0xF3), K_min=2, K_max=6, M_max=6)
+        assert (spec_pattern(spec, "stripped").flow_cap(spec)
+                == feasibility_evidence(spec)["max_flow"])
+
+
+def test_rng_from_matches_default_rng_of_seed_key():
+    parts_list = [(), (0,), (2 ** 32,), (2 ** 64 - 1,), (-1,), (-(2 ** 70), 5),
+                  (0, 0x6C, 7), ((3, [2 ** 32 + 1, -7]), 0, (2 ** 64 - 1, (2 ** 33,)))]
+    for parts in parts_list:
+        expected, got = np.random.default_rng(seed_key(*parts)), rng_from(*parts)
+        assert (got.integers(0, 2 ** 62, size=6).tolist()
+                == expected.integers(0, 2 ** 62, size=6).tolist())
+        assert got.random() == expected.random()
