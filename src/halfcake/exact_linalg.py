@@ -11,29 +11,20 @@ fixed count: the max flow through block rows, block rank budgets and
 block columns bounds the rank of every instantiation, and a trial that
 reaches it has found the generic rank exactly and ends the loop.
 
-Exact ranks and products mod p run on one of two kernels, and neither
-uses object arrays:
+Exact ranks and products mod p use no object arrays.  A rank is one
+elimination on rows of Python ints, for any p, that follows the sparsity
+of its input: cooperation matrices of replicated networks are mostly zero
+blocks, since each receiver replica hears one replica of each interferer.
+Columns are swept in order of their nonzero count, fewest first, and a
+pivot updates only the rows with a nonzero in its column, only at its own
+nonzero columns.  Entries grow as nonnegative Python ints and are reduced
+mod p only where they are tested or used as multipliers.
 
-* Rows of Python ints, which accept any p.  A rank is one elimination
-  that follows the sparsity of its input: cooperation matrices of
-  replicated networks are mostly zero blocks, since each receiver
-  replica hears one replica of each interferer.  Columns are swept in
-  order of their nonzero count, fewest first, and a pivot updates only
-  the rows with a nonzero in its column, only at its own nonzero
-  columns.  Entries grow as nonnegative Python ints and are reduced mod
-  p only where they are tested or used as multipliers.
-* p = 2**61-1: uint64 elimination.  Each operand splits into a 30-bit and
-  a 31-bit limb, so limb products fit 62 bits; 2**61 = 1 and 2**62 = 2
-  mod p fold the high parts back, and ``(x & p) + (x >> 61)`` plus one
-  conditional subtraction reduces.  A pivot updates only the rows with a
-  nonzero entry below it, right of its column.
-
-A rank at 2**61-1 starts on the Python-int rows and hands the rows and
-columns still live to the uint64 kernel once a pivot's update would
-touch more than ``_DENSE_CELLS`` cells: that kernel spends about twenty
-numpy calls per pivot whatever the size, which only a dense update
-repays.  A product at 2**61-1 takes the uint64 kernel from 100
-multiply-adds up.
+A product at p = 2**61-1 from 100 multiply-adds up runs on uint64 limbs:
+each operand splits into a 30-bit and a 31-bit limb, so limb products fit
+62 bits; 2**61 = 1 and 2**62 = 2 mod p fold the high parts back, and
+``(x & p) + (x >> 61)`` plus one conditional subtraction reduces.  Smaller
+products, and products at other primes, run on Python ints.
 
 Numerical work on concrete complex realizations (null spaces for
 beamformer construction, decodability ranks) uses SVD with a relative
@@ -167,13 +158,9 @@ class ScalarDomain:
 # exact rank and products over a prime field
 # ---------------------------------------------------------------------------
 
-#: The uint64 kernels at 2**61-1 pay about twenty numpy calls per pivot (per
-#: product) whatever the size, so Python ints win below these sizes.  A rank
-#: hands off once one pivot's update would touch more than _DENSE_CELLS
-#: cells; on dense residues Python ints win up to about 24 x 24, whose first
-#: pivot updates 529 cells.  A product crosses over at about 100
-#: multiply-adds (5 x 4 x 5).
-_DENSE_CELLS = 400
+#: A product at 2**61-1 runs on uint64 limbs from this many multiply-adds
+#: up; below it (about 5 x 4 x 5), the limb kernel's twenty or so numpy
+#: calls cost more than Python ints.
 _MATMUL_CUTOFF_MACS = 100
 
 _P61 = np.uint64(MERSENNE61)
@@ -226,45 +213,15 @@ def _mul61_lazy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             + (mid >> _S30) + ((mid & _LO30) << _S31))
 
 
-def _rank_m61(A: np.ndarray) -> int:
-    """Rank mod 2**61-1 of a uint64 matrix of residues; overwrites A.
-
-    Column by column, the first row with a nonzero entry is the pivot, and
-    only the rows with a nonzero entry below it are updated, only right of
-    the pivot column.  A used pivot row is then zeroed right of its column,
-    so no row swaps are needed and it is never picked again.
-    """
-    if A.shape[0] < A.shape[1]:
-        A = np.ascontiguousarray(A.T)  # at most min(shape) columns to sweep
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        nz = np.flatnonzero(A[:, c])
-        if nz.size == 0:
-            continue
-        r += 1
-        if r == m or c + 1 == n:
-            break
-        piv, rows = nz[0], nz[1:]
-        if rows.size:
-            neg_inv = MERSENNE61 - pow(int(A[piv, c]), -1, MERSENNE61)
-            f = np.array([x * neg_inv % MERSENNE61 for x in A[rows, c].tolist()],
-                         dtype=np.uint64)
-            update = _mul61_lazy(f[:, None], A[piv, c + 1 :])
-            A[rows, c + 1 :] = _reduce61(A[rows, c + 1 :] + update)
-        A[piv, c + 1 :] = 0
-    return r
-
-
 def rank_mod_p(mat, p: int = MERSENNE61) -> int:
     """Exact rank of an integer matrix over the field of integers mod p.
 
-    Sparse-first elimination on rows of Python ints.  Entries stay
-    nonnegative and exact without reduction; an entry is reduced mod p
-    only when it is zero-tested in the pivot column or multiplies an update
-    as a pivot-row entry.  At 2**61-1 the live rows, from the pivot column
-    on, go to ``_rank_m61`` once a pivot's update would touch more than
-    ``_DENSE_CELLS`` cells.
+    Sparse-first elimination on rows of Python ints, for every p.  Columns
+    are swept fewest nonzeros first, and a pivot updates only the rows with
+    a nonzero in its column, only at its own nonzero columns.  Entries stay
+    nonnegative and exact without reduction; an entry is reduced mod p only
+    when it is zero-tested in the pivot column or multiplies an update as a
+    pivot-row entry.
     """
     A = np.asarray(mat)
     if A.ndim != 2:
@@ -273,13 +230,7 @@ def rank_mod_p(mat, p: int = MERSENNE61) -> int:
         return 0
     if p < 1 << 63:
         R = _residues(A, mat, p)
-        nz = R != 0
-        col_nnz = nz.sum(axis=0)
-        # no first pivot updates fewer cells: a dense input skips the Python rows
-        least = (col_nnz.min() - 1) * (nz.sum(axis=1).min() - 1)
-        if p == MERSENNE61 and least > _DENSE_CELLS:
-            return _rank_m61(R.view(np.uint64))
-        rows = R[:, np.argsort(col_nnz, kind="stable")].tolist()
+        rows = R[:, np.argsort((R != 0).sum(axis=0), kind="stable")].tolist()
     else:
         rows = _residue_rows(A, mat, p)  # no machine-word counts: input order
     n = len(rows[0])
@@ -290,9 +241,6 @@ def rank_mod_p(mat, p: int = MERSENNE61) -> int:
             continue
         piv = hits[0]
         tail = [(k, v) for k in range(c + 1, n) if (v := piv[k] % p)]
-        if p == MERSENNE61 and (len(hits) - 1) * len(tail) > _DENSE_CELLS:
-            live = [[y % p for y in row[c:]] for row in rows]
-            return r + _rank_m61(np.array(live, dtype=np.uint64))
         r += 1
         rows = [row for row in rows if row is not piv]
         neg_inv = p - pow(piv[c] % p, -1, p)

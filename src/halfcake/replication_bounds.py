@@ -232,17 +232,32 @@ def contiguous_partition(mu: Sequence[int], cuts: Sequence[int]
 
 @dataclass(frozen=True, eq=False)
 class ReplicatedNetwork:
-    """Replicated spec plus the source of every replica-pair block."""
+    """Replicas of every user of ``spec`` plus the source of every replica-pair block."""
 
     spec: NetworkSpec
     plan: ReplicationPlan
-    rep_spec: NetworkSpec
     users: Tuple[Replica, ...]
     #: (rx index, tx index) into ``users`` -> original (j, i), absent means zero
     source: Dict[Tuple[int, int], Tuple[int, int]]
 
     def index(self, replica: Replica) -> int:
         return self.users.index(replica)
+
+    @property
+    def rep_spec(self) -> NetworkSpec:
+        """The replicated network as a spec of its own, one user per replica."""
+        spec, users, source = self.spec, self.users, self.source
+        R = len(users)
+        D = tuple(
+            tuple(
+                None if r == t else (spec.D[source[(r, t)][0]][source[(r, t)][1]]
+                                     if (r, t) in source else 0)
+                for t in range(R)
+            )
+            for r in range(R)
+        )
+        return NetworkSpec(tuple(spec.M[u] for u, _ in users),
+                           tuple(spec.N[u] for u, _ in users), D)
 
 
 def build_replicated(spec: NetworkSpec, plan: ReplicationPlan) -> ReplicatedNetwork:
@@ -257,20 +272,7 @@ def build_replicated(spec: NetworkSpec, plan: ReplicationPlan) -> ReplicatedNetw
         source[(t, t)] = (i, i)
     for (j, beta, i), alpha in plan.assign.items():
         source[(idx[(j, beta)], idx[(i, alpha)])] = (j, i)
-
-    R = len(users)
-    M = tuple(spec.M[u] for u, _ in users)
-    N = tuple(spec.N[u] for u, _ in users)
-    D = tuple(
-        tuple(
-            None if r == t else (spec.D[source[(r, t)][0]][source[(r, t)][1]]
-                                 if (r, t) in source else 0)
-            for t in range(R)
-        )
-        for r in range(R)
-    )
-    rep_spec = NetworkSpec(M, N, D)
-    return ReplicatedNetwork(spec, plan, rep_spec, users, source)
+    return ReplicatedNetwork(spec, plan, users, source)
 
 
 def realize_replicated(repnet: ReplicatedNetwork, real: ChannelRealization

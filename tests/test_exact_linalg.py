@@ -26,7 +26,6 @@ from halfcake import (
     strip_desired,
 )
 from halfcake.errors import NotSquare
-from halfcake import exact_linalg
 from halfcake.exact_linalg import (
     generic_rank_pattern,
     instantiate_pattern,
@@ -266,17 +265,17 @@ def test_bad_trials_and_domain_tags_raise_invalid_argument():
 
 
 # ---------------------------------------------------------------------------
-# prime-field kernels: uint64 at 2**61-1, Python ints elsewhere
+# prime-field kernels: Python-int ranks; uint64 limb products at 2**61-1
 # ---------------------------------------------------------------------------
 
 #: a 41-bit prime, served by the Python-int path at every size
 P41 = 1_099_511_627_791
 
-#: residues that sit on the limb and fold boundaries of the uint64 kernel
+#: residues that sit on the limb and fold boundaries of the uint64 product kernel
 EDGE_RESIDUES = (0, 1, MERSENNE61 - 1, (1 << 32) - 1, 1 << 32, 1 << 60)
 
-#: square and rectangular shapes, small enough to stay on Python ints and large
-#: enough to be handed to the uint64 kernel at 2**61-1
+#: square and rectangular shapes, from single cells to dense inputs larger than
+#: any cooperation matrix the benchmark ranks
 KERNEL_SHAPES = [(1, 1), (1, 9), (9, 1), (3, 5), (8, 8), (12, 30), (30, 12), (16, 16),
                  (17, 17), (18, 18), (24, 24), (40, 25), (60, 60), (110, 97)]
 
@@ -388,7 +387,7 @@ def test_matmul_matches_python_ints(mkn, p):
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination: block-sparse inputs and the hand-off to the uint64 kernel
+# sparse elimination: block-sparse, arrow and dense inputs
 # ---------------------------------------------------------------------------
 
 
@@ -456,26 +455,17 @@ def test_rank_of_block_sparse_inputs_matches_reference(p):
 
 
 @pytest.mark.parametrize("p", [MERSENNE61, P41])
-def test_rank_handed_to_uint64_kernel_matches_reference(p, monkeypatch):
-    kernel, handed = exact_linalg._rank_m61, []
-    monkeypatch.setattr(exact_linalg, "_rank_m61",
-                        lambda A: handed.append(A.shape) or kernel(A))
+def test_rank_of_arrow_and_dense_inputs_matches_reference(p):
     rng = np.random.default_rng(40)
-    # the remainder after the sparse columns: full rank, then rank-deficient
-    part_way = [_arrow(seed, 30, 24, b, p) for seed, b in enumerate((24, 24, 11))]
-    # dense, whole or with zero rows that leave the first pivot to the loop
+    # sparse pivots that fill in a dense remainder: full rank, then rank-deficient
+    arrows = [_arrow(seed, 30, 24, b, p) for seed, b in enumerate((24, 24, 11))]
+    # dense, without and with zero rows
     dense = [matmul_mod_p(rng.integers(0, p, size=(m, r), dtype=np.int64),
                           rng.integers(0, p, size=(r, n), dtype=np.int64), p)
              for m, n, r in ((40, 40, 40), (40, 40, 31), (64, 48, 48), (48, 64, 37))]
     dense += [_planted(rng, shape, 35, p) for shape in ((40, 40), (52, 44))]
-    for A in part_way + dense:
+    for A in arrows + dense:
         assert rank_mod_p(A, p) == reference_rank(A.tolist(), p)
-    if p != MERSENNE61:
-        assert handed == []  # other primes stay on Python ints
-        return
-    assert len(handed) == len(part_way + dense)  # one hand-off per input
-    # an arrow is handed off after its sparse pivots, with fewer rows and columns
-    assert all(m < A.shape[0] and n < A.shape[1] for (m, n), A in zip(handed, part_way))
 
 
 # ---------------------------------------------------------------------------
