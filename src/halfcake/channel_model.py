@@ -23,6 +23,7 @@ from .errors import (
     DegenerateDesiredDifference,
     NotSquareCase,
     RankExceedsDimension,
+    SpecTooLarge,
 )
 from .exact_linalg import (
     BlockPattern,
@@ -36,6 +37,10 @@ from .exact_linalg import (
 
 Cross = Dict[Tuple[int, int], int]
 
+#: most antennas a spec may have on each side, sum(M) and sum(N); a
+#: realization holds sum(N) * sum(M) entries per slot
+MAX_ANTENNAS = 1024
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -44,7 +49,8 @@ class NetworkSpec:
     ``D[j][i]`` (i != j, 0-based) caps the rank of the channel from
     transmitter i to receiver j; diagonal entries are None (desired links
     are always full rank).  Construction runs ``validate_spec``, so an
-    invalid spec raises BadShape or RankExceedsDimension and never exists.
+    invalid spec raises BadShape, RankExceedsDimension or SpecTooLarge and
+    never exists.
     """
 
     M: Tuple[int, ...]
@@ -158,7 +164,7 @@ def _json_int(value, what: str) -> int:
 
 
 def validate_spec(spec: NetworkSpec) -> NetworkSpec:
-    """Check shapes and rank caps; returns the spec unchanged when valid."""
+    """Check shapes, rank caps and the ``MAX_ANTENNAS`` ceiling; returns the spec unchanged."""
     K = spec.K
     if K < 1:
         raise BadShape("need at least one user")
@@ -166,6 +172,9 @@ def validate_spec(spec: NetworkSpec) -> NetworkSpec:
         raise BadShape("M, N, D shapes disagree with K")
     if any(m < 1 for m in spec.M) or any(n < 1 for n in spec.N):
         raise BadShape("antenna counts must be positive")
+    if spec.M_sigma > MAX_ANTENNAS or spec.N_sigma > MAX_ANTENNAS:
+        raise SpecTooLarge(f"sum(M) = {spec.M_sigma} and sum(N) = {spec.N_sigma} must each "
+                           f"be at most {MAX_ANTENNAS}")
     for j in range(K):
         for i in range(K):
             if i == j:
@@ -229,8 +238,9 @@ class ChannelRealization:
 def encode_matrix(mat: np.ndarray, domain: ScalarDomain):
     """JSON rows: ``[re, im]`` pairs over the complex domain, residues over a prime field."""
     if domain.is_complex:
-        return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, complex)]
-    return [[int(v) for v in row] for row in np.asarray(mat)]
+        mat = np.asarray(mat, complex)
+        return np.stack((mat.real, mat.imag), axis=-1).tolist()
+    return np.asarray(mat).tolist()
 
 
 def decode_matrix(obj, domain: ScalarDomain, shape: Tuple[int, int]) -> np.ndarray:

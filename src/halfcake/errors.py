@@ -19,6 +19,10 @@ class RankExceedsDimension(HalfCakeError):
         )
 
 
+class SpecTooLarge(HalfCakeError):
+    """A spec has more antennas on one side than ``channel_model.MAX_ANTENNAS``."""
+
+
 class NotSquareCase(HalfCakeError):
     """Operation requires per-user equal transmit and receive antennas (M == N)."""
 

@@ -14,9 +14,10 @@ linear-scheme lifting argument and is unique up to those scalars.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -441,8 +442,11 @@ def weighted_dof_bound(spec: NetworkSpec, mu: Sequence[int], plan: ReplicationPl
 #: trials of each screening rank inside the search; the winner is re-certified
 _SCREEN_TRIALS = 1
 
-#: candidates scored per numpy call; keeps the kernel's scratch arrays small
+#: random candidates drawn from the seeded stream at a time
 _CHUNK = 1024
+
+#: rows scored per numpy pass; keeps the kernel's scratch arrays small
+_BATCH = 256
 
 
 def _oriented_partition(mu: int, cuts, swap) -> Tuple[Tuple[Replica, ...], Tuple[Replica, ...]]:
@@ -462,20 +466,20 @@ def _offset_class_shifts(K: int, mu: int):
         yield table
 
 
-def _candidates(K: int, mu_max: int, budget: int, seed: int):
+def _candidates(K: int, mu_max: int, budget: int, seed: int, draw_more):
     """Groups ``(mus, cuts, swap, tables, ranked)`` of circulant candidates.
 
-    Cuts sit on the outer loop: a group's rows (replica count ``mus[n]``,
-    per-user cuts ``cuts[n]``, groups exchanged where ``swap[n]``) are
-    paired with each shift table that ``tables`` yields in turn, either one
-    K x K table for every row or one table per row.  Tables are built
-    lazily, so a consumer that stops iterating ``tables`` never builds the
-    rest.  First, for each mu <= mu_max, every per-user cut in both group
-    orientations, paired with each offset-class shift table (``ranked``:
-    the search walks each table's rows best potential first).  Then up to
-    ``2 * budget`` random rows with 2 <= mu <= mu_max and a random full
-    shift table each, drawn lazily from one seeded stream ``_CHUNK`` at a
-    time (walked in draw order).
+    A group's rows have replica count ``mus[n]``, per-user cuts ``cuts[n]``
+    and the groups exchanged where ``swap[n]``.  First, for each
+    mu <= mu_max, every per-user cut in both group orientations; ``tables``
+    lazily yields the offset-class shift tables, each paired with every
+    row (``ranked``: the search walks each table's rows best potential
+    first).  Between them these groups hold every (mu, n1), n1 the copies
+    of each user in group 1, so their floors fill the search's floor
+    table.  Then up to ``2 * budget`` random rows with 2 <= mu <= mu_max,
+    ``tables`` an (n, K, K) array of one random full shift table per row,
+    drawn from one seeded stream ``_CHUNK`` rows at a time (walked in draw
+    order).  A chunk is drawn only while ``draw_more()`` holds.
     """
     for mu in range(1, mu_max + 1):
         one_side = np.array(list(product(range(mu + 1), repeat=K)), dtype=np.int64)
@@ -487,54 +491,63 @@ def _candidates(K: int, mu_max: int, budget: int, seed: int):
     rng = rng_from(seed, 0x5E)
     links = ~np.eye(K, dtype=bool)
     for drawn in range(0, 2 * budget, _CHUNK):
+        if not draw_more():
+            return
         n = min(_CHUNK, 2 * budget - drawn)
         mus = rng.integers(2, mu_max + 1, size=n)
         shifts = rng.integers(0, mus[:, None, None], size=(n, K, K)) * links
         cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
         swap = rng.integers(0, 2, size=n).astype(bool)
-        yield mus, cuts, swap, [shifts], False
+        yield mus, cuts, swap, shifts, False
 
 
-def _link_ranks(spec: NetworkSpec) -> np.ndarray:
-    """``D[j][i]`` as an int64 K x K array with a zero diagonal."""
+def _spec_arrays(spec: NetworkSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(M, N, D)`` as int64 arrays, ``D[j][i]`` K x K with a zero diagonal."""
     K = spec.K
-    return np.array([[0 if i == j else spec.D[j][i] for i in range(K)] for j in range(K)],
-                    dtype=np.int64)
+    D = np.array([[0 if i == j else spec.D[j][i] for i in range(K)] for j in range(K)],
+                 dtype=np.int64)
+    return np.array(spec.M, dtype=np.int64), np.array(spec.N, dtype=np.int64), D
 
 
-def candidate_potentials(spec: NetworkSpec, mu: int, shifts, cuts, swap) -> np.ndarray:
+def candidate_potentials(spec: NetworkSpec, mu, shifts, cuts, swap, arrays=None) -> np.ndarray:
     """Mbar1 + Nbar2 - structural rank cap for a batch of circulant candidates.
 
-    Row n is the plan with uniform replica count ``mu``, shift table
-    ``shifts[n]`` (K x K, diagonal ignored), contiguous cuts ``cuts[n]``
-    and, where ``swap[n]``, the two groups exchanged.  The integers equal
-    those of ``cooperate(build_replicated(spec, plan), plan.partition)``
-    and its ``pattern.structural_cap(spec)``, without building either:
-    receiver copy (j, b) in group 2 hears transmitter copy
+    Row n is the plan with uniform replica count ``mu`` (``mu[n]`` if
+    ``mu`` is an array, so one call scores rows of mixed counts), shift
+    table ``shifts[n]`` (K x K, diagonal ignored), contiguous cuts
+    ``cuts[n]`` and, where ``swap[n]``, the two groups exchanged.  The
+    integers equal those of ``cooperate(build_replicated(spec, plan),
+    plan.partition)`` and its ``pattern.structural_cap(spec)``, without
+    building either: receiver copy (j, b) in group 2 hears transmitter copy
     (i, (b + s_ji) % mu), so its row budget sums D[j][i] over the i whose
     copy is in group 1, and transmitter copy (i, a) in group 1 reaches
     receiver copy (j, (a - s_ji) % mu), so its column budget sums D[j][i]
-    over the j whose copy is in group 2.
+    over the j whose copy is in group 2.  Copy a of user i is in group 1
+    when (a < cuts[n][i]) != swap[n], so membership of a shifted copy is one
+    comparison, with no gather.  Rows are scored ``_BATCH`` at a
+    time, each with its copies padded up to the largest mu among them; a
+    padded copy sits in neither group, so it adds nothing.  ``arrays`` is
+    ``_spec_arrays(spec)``, built once by a caller that scores many batches.
     """
-    K = spec.K
-    M = np.array(spec.M, dtype=np.int64)
-    N = np.array(spec.N, dtype=np.int64)
-    D = _link_ranks(spec)[None, :, None, :]
+    M, N, D = _spec_arrays(spec) if arrays is None else arrays
+    D = D[None, :, None, :]
     shifts, cuts, swap = np.asarray(shifts), np.asarray(cuts), np.asarray(swap, dtype=bool)
-    copies = np.arange(mu)
-    users = np.arange(K)
+    mus = np.broadcast_to(mu, len(cuts))
     out = np.empty(len(cuts), dtype=np.int64)
-    for lo in range(0, len(cuts), _CHUNK):
-        hi = lo + _CHUNK
+    for lo in range(0, len(cuts), _BATCH):
+        hi = lo + _BATCH
+        m, c, sw = mus[lo:hi, None, None], cuts[lo:hi], swap[lo:hi, None, None]
+        copies = np.arange(m.max())
+        real = copies < m                                                 # (n, 1, copy)
+        g1 = ((copies < c[:, :, None]) ^ sw) & real                       # (n, user, copy)
+        g2 = real & ~g1
         s = shifts[lo:hi, :, None, :]                                     # (n, j, 1, i)
-        g1 = (copies < cuts[lo:hi, :, None]) ^ swap[lo:hi, None, None]    # (n, user, copy)
-        g2 = ~g1
-        cand = np.arange(len(g1))[:, None, None, None]
+        m, sw = m[..., None], sw[..., None]
         # [n, j, b, i]: transmitter copy (i, (b + s_ji) % mu) sits in group 1
-        heard = g1[cand, users, (copies[:, None] + s) % mu]
+        heard = ((copies[:, None] + s) % m < c[:, None, None, :]) ^ sw
         row = (heard * D).sum(axis=3)                                     # (n, j, b)
         # [n, j, a, i]: receiver copy (j, (a - s_ji) % mu) sits in group 2
-        reached = g2[cand, users[:, None, None], (copies[:, None] - s) % mu]
+        reached = ((copies[:, None] - s) % m < c[:, :, None, None]) == sw
         col = (reached * D).sum(axis=1).transpose(0, 2, 1)                # (n, i, a)
         rows = (g2 * np.minimum(N[:, None], row)).sum(axis=(1, 2))
         cols = (g1 * np.minimum(M[:, None], col)).sum(axis=(1, 2))
@@ -544,7 +557,7 @@ def candidate_potentials(spec: NetworkSpec, mu: int, shifts, cuts, swap) -> np.n
     return out
 
 
-def _potential_floors(spec: NetworkSpec, mus, cuts, swap) -> np.ndarray:
+def _potential_floors(spec: NetworkSpec, mus, cuts, swap, arrays=None) -> np.ndarray:
     """Lower bound on ``candidate_potentials`` that holds for every shift table.
 
     Row n has n1 = copies of each user in group 1 and n2 = mus[n] - n1 in
@@ -554,12 +567,11 @@ def _potential_floors(spec: NetworkSpec, mus, cuts, swap) -> np.ndarray:
     group-1 transmitter copy of user i has column budget at most
     colcap_i = min(M_i, sum of D[j][i] over j with n2_j > 0).  So the
     structural cap is at most min(n2 . rowcap, n1 . colcap, Mbar1, Nbar2),
-    and Mbar1 + Nbar2 minus that depends only on (mu, cuts, swap).  With
-    mu = 1 every copy sits on its user's side and the floor is the potential.
+    and Mbar1 + Nbar2 minus that depends only on (mu, n1).  With mu = 1
+    every copy sits on its user's side and the floor is the potential.
+    ``arrays`` is ``_spec_arrays(spec)``, as in ``candidate_potentials``.
     """
-    M = np.array(spec.M, dtype=np.int64)
-    N = np.array(spec.N, dtype=np.int64)
-    D = _link_ranks(spec)
+    M, N, D = _spec_arrays(spec) if arrays is None else arrays
     mus = np.asarray(mus)[:, None]
     cuts = np.asarray(cuts)
     n1 = np.where(np.asarray(swap, dtype=bool)[:, None], mus - cuts, cuts)
@@ -573,6 +585,31 @@ def _potential_floors(spec: NetworkSpec, mus, cuts, swap) -> np.ndarray:
     return mbar1 + nbar2 - cap
 
 
+class _FloorTable:
+    """``_potential_floors`` of every (mu, n1), n1 the copies of each user in group 1.
+
+    A floor depends on a row only through (mu, n1), so the search fills the
+    table from its offset-class groups and reads random rows from it.  The
+    entries of one mu follow those of all smaller ones, ordered by n1 read
+    as a base-(mu + 1) number.
+    """
+
+    def __init__(self, K: int, mu_max: int):
+        self.starts = np.concatenate([[0, 0], np.cumsum(np.arange(2, mu_max + 2) ** K)])
+        self.floors = np.zeros(self.starts[-1], dtype=np.int64)
+
+    def index(self, mus, cuts, swap) -> np.ndarray:
+        """Each row's position in ``floors``."""
+        mus, cuts = np.asarray(mus), np.asarray(cuts)
+        base = mus + 1
+        digits = cuts[:, 0]
+        for k in range(1, cuts.shape[1]):
+            digits = digits * base + cuts[:, k]
+        # a swapped row has n1 = mu - cuts: every digit d becomes base - 1 - d
+        swapped = base ** cuts.shape[1] - 1 - digits
+        return self.starts[mus] + np.where(np.asarray(swap, dtype=bool), swapped, digits)
+
+
 def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int = 0,
                   certify_trials: int = 8) -> DofBound:
     """Best bound over circulant plans with contiguous cooperation groups.
@@ -582,32 +619,40 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     contiguous cuts in both group orientations, then up to ``2 * budget``
     seeded random full shift tables.  Candidates are screened
     cheapest-first.  A floor that ignores the shift table
-    (``_potential_floors``, one value per mu, cuts and orientation) drops
-    the rows that cannot beat the current best before anything else is
-    computed.  The structural rank cap, computed on integer arrays by
+    (``_potential_floors``, one value per (mu, n1)) drops the rows that
+    cannot beat the current best before anything else is computed.  The
+    offset-class phase computes the floor of every (mu, n1) and keeps them
+    in a table, from which each random row reads its floor.  The
+    structural rank cap, computed on integer arrays by
     ``candidate_potentials``, then gives each remaining row a potential
-    (best value it could still reach), and only rows whose potential
-    beats the current best are built as plans and pay for a rank
-    evaluation over 2**61-1.  Offset-class candidates are walked by
-    (potential, partition), random ones in draw order.  The best only
-    falls, so a mu whose least floor over all cuts cannot beat it never
-    can: its remaining offset-class tables are skipped, and the random
-    phase ends once no mu in 2..mu_max can win.  None of this changes the
-    rows that are evaluated or their order.  ``budget`` bounds the work:
-    at most ``budget`` rank evaluations (memo hits are free) and at most
-    ``2 * budget`` random candidates scored.  The winner is re-certified
-    at ``certify_trials``.  Ties break lexicographically on (bound, mu,
-    plan encoding).
+    (best value it could still reach), and only rows whose potential beats
+    the current best are built as plans and pay for a rank evaluation over
+    2**61-1.  Potentials are scored in batches: a random chunk's live rows
+    of every mu in one call, and for one mu the live rows of as many
+    offset-class tables as fit in ``_BATCH`` rows.  A potential does not
+    depend on the best, and the best only falls, so rows scored ahead are
+    re-filtered against the best when their table's turn comes.
+    Offset-class candidates are walked by (potential, partition), random
+    ones in draw order.  A mu whose least floor over all cuts cannot beat
+    the best never can: its remaining offset-class tables are skipped, and
+    no random chunk is drawn once no mu in 2..mu_max can win.  None of this
+    changes the rows that are evaluated or their order.  ``budget`` bounds
+    the work: at most ``budget`` rank evaluations (memo hits are free) and
+    at most ``2 * budget`` random candidates scored.  The winner is
+    re-certified at ``certify_trials``.  Ties break lexicographically on
+    (bound, mu, plan encoding).
     """
     if mu_max < 1:
         raise InvalidArgument(f"mu_max must be >= 1, got {mu_max}")
     if budget < 1:
         raise InvalidArgument(f"budget must be >= 1, got {budget}")
     K = spec.K
+    arrays = _spec_arrays(spec)
     best_key = best_plan = None  # best_key = (value, mu, plan encoding)
     evals = 0
     rank_memo: dict = {}
     least_floor = np.zeros(mu_max + 1, dtype=np.int64)  # per mu, over all cuts and orientations
+    floor_table = _FloorTable(K, mu_max)
     random_mus = np.arange(2, mu_max + 1)
 
     def beats_best(potential, mu):
@@ -616,45 +661,72 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
             return np.ones_like(potential, dtype=bool)
         return potential * best_key[0].denominator < best_key[0].numerator * mu
 
-    for mus, cuts, swap, tables, ranked in _candidates(K, mu_max, budget, seed):
+    def draw_more():
+        """Whether budget is left and some mu in 2..mu_max can still beat the best."""
+        return evals < budget and bool(beats_best(least_floor[random_mus], random_mus).any())
+
+    def winners(potentials, live, mus, cuts, swap):
+        """Rows (potential, mu, partition, n) of ``live`` whose potential beats the best."""
+        keep = beats_best(potentials, mus[live])
+        return [(int(p), int(mus[n]), _oriented_partition(mus[n], cuts[n], swap[n]), n)
+                for p, n in zip(potentials[keep], live[keep])]
+
+    def rank(rows, shifts_of):
+        """Rank rows in order while budget lasts; row n has shift table ``shifts_of(n)``."""
+        nonlocal evals, best_key, best_plan
+        for potential, mu, partition, n in rows:
+            if evals >= budget:
+                return
+            if not beats_best(potential, mu):
+                continue
+            plan = ReplicationPlan.from_shifts([mu] * K, shifts_of(n), partition)
+            coop = cooperate(build_replicated(spec, plan), plan.partition)
+            key = (coop.pattern.row_sizes, coop.pattern.col_sizes,
+                   tuple(sorted(coop.pattern.entries.items())))
+            if key not in rank_memo:
+                evals += 1
+                rank_memo[key] = generic_rank_pattern(spec, coop.pattern,
+                                                      trials=_SCREEN_TRIALS,
+                                                      seed=(seed, evals))
+            value = Fraction(coop.Mbar1 + coop.Nbar2 - rank_memo[key], mu)
+            cand_key = (value, mu, plan.encoding())
+            if best_key is None or cand_key < best_key:
+                best_key, best_plan = cand_key, plan
+
+    for mus, cuts, swap, tables, ranked in _candidates(K, mu_max, budget, seed, draw_more):
         if evals >= budget:
             break
-        floors = _potential_floors(spec, mus, cuts, swap)
-        if ranked:
-            least_floor[mus[0]] = floors.min()
-        elif not beats_best(least_floor[random_mus], random_mus).any():
-            break
-        for table in tables:
-            live = np.flatnonzero(beats_best(floors, mus))
+        index = floor_table.index(mus, cuts, swap)
+        if not ranked:
+            live = np.flatnonzero(beats_best(floor_table.floors[index], mus))
+            if len(live):
+                potentials = candidate_potentials(spec, mus[live], tables[live], cuts[live],
+                                                  swap[live], arrays)
+                rank(winners(potentials, live, mus, cuts, swap), tables.__getitem__)
+            continue
+        mu = int(mus[0])
+        floors = _potential_floors(spec, mus, cuts, swap, arrays)
+        floor_table.floors[index] = floors
+        least_floor[mu] = floors.min()
+        tables = iter(tables)
+        scored = pending = ()  # live rows at the last scoring call; (table, potentials) ahead
+        while True:
+            live = np.flatnonzero(beats_best(floors, mu))
             if evals >= budget or not len(live):
                 break
-            shifts = np.broadcast_to(table, (len(mus), K, K))
-            potentials = np.zeros(len(mus), dtype=np.int64)
-            for mu in np.unique(mus[live]):
-                sel = live[mus[live] == mu]
-                potentials[sel] = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel],
-                                                       swap[sel])
-            rows = [(int(potentials[n]), int(mus[n]),
-                     _oriented_partition(mus[n], cuts[n], swap[n]), n)
-                    for n in live[beats_best(potentials[live], mus[live])]]
-            for potential, mu, partition, n in sorted(rows) if ranked else rows:
-                if evals >= budget:
+            if not pending:
+                batch = list(islice(tables, max(1, _BATCH // len(live))))
+                if not batch:
                     break
-                if not beats_best(potential, mu):
-                    continue
-                plan = ReplicationPlan.from_shifts([mu] * K, shifts[n], partition)
-                coop = cooperate(build_replicated(spec, plan), plan.partition)
-                key = (coop.pattern.row_sizes, coop.pattern.col_sizes,
-                       tuple(sorted(coop.pattern.entries.items())))
-                if key not in rank_memo:
-                    evals += 1
-                    rank_memo[key] = generic_rank_pattern(spec, coop.pattern,
-                                                          trials=_SCREEN_TRIALS,
-                                                          seed=(seed, evals))
-                value = Fraction(coop.Mbar1 + coop.Nbar2 - rank_memo[key], mu)
-                cand_key = (value, mu, plan.encoding())
-                if best_key is None or cand_key < best_key:
-                    best_key, best_plan = cand_key, plan
+                scored = live
+                potentials = candidate_potentials(
+                    spec, mu, np.repeat(batch, len(live), axis=0),
+                    np.tile(cuts[live], (len(batch), 1)), np.tile(swap[live], len(batch)),
+                    arrays)
+                pending = deque(zip(batch, potentials.reshape(len(batch), len(live))))
+            table, potentials = pending.popleft()
+            rows = winners(potentials[np.searchsorted(scored, live)], live, mus, cuts, swap)
+            rank(sorted(rows), lambda n: table)
 
     return outer_bound(spec, best_plan, trials=certify_trials, seed=seed)
 

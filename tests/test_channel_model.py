@@ -295,3 +295,33 @@ def test_matrix_codec_round_trip(domain):
         assert again.dtype == blk.dtype and np.array_equal(again, blk)
     empty = decode_matrix([[], []], domain, (2, 0))
     assert empty.shape == (2, 0) and decode_matrix([], domain, (0, 3)).shape == (0, 3)
+
+
+def _entrywise_encoding(mat, domain):
+    """``encode_matrix`` written one entry at a time, as the reference."""
+    if domain.is_complex:
+        return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, complex)]
+    return [[int(v) for v in row] for row in np.asarray(mat)]
+
+
+def test_encode_matrix_matches_entrywise_encoding():
+    from halfcake.channel_model import encode_matrix
+
+    rng = np.random.default_rng(31)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1.5e308, 0.1])
+    pairs = np.empty((len(special), len(special)), complex)  # every (real, imag) pair
+    pairs.real, pairs.imag = special[:, None], special[None, :]
+    complex_blocks = [np.zeros((0, 3), complex), np.zeros((3, 0), complex), pairs,
+                      np.array([[1, 2], [3, 4]]),                # integer and float inputs
+                      np.array([[0.5, -0.0]])]
+    for _ in range(20):
+        rows, cols = (int(v) for v in rng.integers(0, 13, size=2))
+        complex_blocks.append(rng.standard_normal((rows, cols))
+                              + 1j * rng.standard_normal((rows, cols)))
+    prime_blocks = [np.zeros((0, 2), np.int64), np.zeros((2, 0), np.int64),
+                    np.array([[0, MERSENNE61 - 1], [(1 << 63) - 1, 1]], dtype=np.int64),
+                    rng.integers(0, MERSENNE61, size=(7, 5), dtype=np.int64)]
+    for domain, blocks in ((_COMPLEX, complex_blocks), (_PRIME, prime_blocks)):
+        for blk in blocks:
+            got = json.dumps(encode_matrix(blk, domain))
+            assert got == json.dumps(_entrywise_encoding(blk, domain))

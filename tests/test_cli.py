@@ -152,6 +152,11 @@ def _edit(which, *path, value=None, drop=False):
     return edit
 
 
+def _huge_spec(blobs):
+    """2^40 antennas on user 1: a realization would need 2^80 entries."""
+    blobs["spec"].update(M=[2 ** 40, 2], N=[2 ** 40, 2])
+
+
 #: bad input -> (command and flags, edit of the spec/channel/scheme files)
 BAD_INPUTS = {
     "trials-0": (["analyze", "--trials", "0"], None),
@@ -185,6 +190,9 @@ BAD_INPUTS = {
     "plan-mu-huge-table": (["bound"], lambda blobs: blobs["plan"].update(
         mu=[10 ** 30, 10 ** 30],
         assign={"table": [[1, 1, 2, 1], [1, 2, 2, 2], [2, 1, 1, 1], [2, 2, 1, 2]]})),
+    "spec-huge-sample": (["sample"], _huge_spec),
+    "spec-huge-analyze": (["analyze"], _huge_spec),
+    "spec-huge-bound-plan": (["bound"], _huge_spec),
     "tol-1": (["verify", "--tol", "1"], None),
     "tol-inf": (["verify", "--tol", "inf"], None),
     "tol-nan": (["verify", "--tol", "nan"], None),

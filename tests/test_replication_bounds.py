@@ -31,7 +31,13 @@ from halfcake.errors import (
     NonUniformMu,
     PlanViolatesDefinition1,
 )
-from halfcake.replication_bounds import DofBound, _potential_floors, candidate_potentials
+from halfcake.replication_bounds import (
+    DofBound,
+    _candidates,
+    _FloorTable,
+    _potential_floors,
+    candidate_potentials,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +408,43 @@ def test_potential_floor_never_exceeds_potential():
     assert exact > 100
 
 
+def test_mixed_mu_batches_match_per_mu_calls():
+    rng = np.random.default_rng(2026)
+    mixed = 0
+    for t in range(40):
+        K = int(rng.integers(2, 6))
+        mu_max = int(rng.integers(1, 5))
+        M = tuple(int(v) for v in rng.integers(1, 5, size=K))
+        N = tuple(int(v) for v in rng.integers(1, 5, size=K))
+        # rank 0 on roughly a third of the links
+        cross = {(j, i): int(rng.integers(0, min(M[i], N[j]) + 1)) * int(rng.integers(0, 3) > 0)
+                 for j in range(K) for i in range(K) if i != j}
+        spec = NetworkSpec.make(M, N, cross)
+        n = int(rng.integers(1, 600))  # often more than one scoring pass
+        mus = rng.integers(1, mu_max + 1, size=n)
+        shifts = rng.integers(0, mus[:, None, None], size=(n, K, K))
+        cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
+        swap = rng.integers(0, 2, size=n).astype(bool)
+        got = candidate_potentials(spec, mus, shifts, cuts, swap)
+        for mu in np.unique(mus):
+            sel = mus == mu
+            want = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel], swap[sel])
+            assert (got[sel] == want).all()
+        mixed += int(len(np.unique(mus)) > 1)
+        # the floor table as the search fills it from the offset-class groups
+        table = _FloorTable(K, mu_max)
+        filled = []
+        for g_mus, g_cuts, g_swap, _, _ in _candidates(K, mu_max, 1, t, lambda: False):
+            index = table.index(g_mus, g_cuts, g_swap)
+            table.floors[index] = _potential_floors(spec, g_mus, g_cuts, g_swap)
+            filled.append(index)
+        # the (mu, n1) pairs, sum of (mu + 1)**K, fill every entry once
+        assert np.array_equal(np.unique(np.concatenate(filled)), np.arange(len(table.floors)))
+        looked_up = table.floors[table.index(mus, cuts, swap)]
+        assert (looked_up == _potential_floors(spec, mus, cuts, swap)).all()
+    assert mixed > 20
+
+
 #: SHA-256 of the sorted-key ``search_bounds(...).to_json()`` of searches whose
 #: floors prune nearly every candidate: (spec, mu_max) -> digest.  The comment
 #: is the bound.
@@ -506,6 +549,42 @@ def test_search_pinned_under_budget():
         text = json.dumps(best.to_json(), sort_keys=True)
         got[key] = hashlib.sha256(text.encode()).hexdigest()
     assert got == BUDGET_PINS
+
+
+#: SHA-256 of the sorted-key ``search_bounds(...).to_json()`` of searches at the
+#: default budget that reach the random phase:
+#: random_square_spec((0, 17), K_min=3, K_max=4, M_max=6) at mu_max 3 and seed
+#: 17, keyed 17, whose tie-broken plan comes from a random candidate; and each
+#: preset at mu_max 2 and 4, keyed (preset, mu_max).  The comment is the bound.
+RANDOM_PHASE_PINS = {
+    17: "dad9f187811caa5da47085933c66b7fcaec507120a8ad78f26c942d38633c692",  # 19/2
+    ("counterexample", 2): "52999627d2eaf449a7401eb0070a4b0895b714fde29de9c681a8d942336d64b6",  # 25/2
+    ("counterexample", 4): "52999627d2eaf449a7401eb0070a4b0895b714fde29de9c681a8d942336d64b6",  # 25/2
+    ("example-2x3", 2): "9ba5be870f6b3defac924ea90d0b88f8b0fbfb5c31729cbb1b65bccd5190c130",  # 4
+    ("example-2x3", 4): "9ba5be870f6b3defac924ea90d0b88f8b0fbfb5c31729cbb1b65bccd5190c130",  # 4
+    ("example-asym", 2): "8ac5dabdf9454112583bae8b20607f3a98fbd5378e9187dea511ad80c7b6de6f",  # 12
+    ("example-asym", 4): "8ac5dabdf9454112583bae8b20607f3a98fbd5378e9187dea511ad80c7b6de6f",  # 12
+    ("reduced-example", 2): "58b7afd4d9845a52f72b690d64b131e6c671062c3190f144ab0324c2bfff4619",  # 12
+    ("reduced-example", 4): "58b7afd4d9845a52f72b690d64b131e6c671062c3190f144ab0324c2bfff4619",  # 12
+    ("theorem5", 2): "f941e64c231d0e35ba855a07efa57e9b939d918e879e290a0d3a418fc87da08d",  # 5
+    ("theorem5", 4): "f941e64c231d0e35ba855a07efa57e9b939d918e879e290a0d3a418fc87da08d",  # 5
+    ("theorem6", 2): "9f772034fbc2508990bb5a340686f3d0a87fc2d567ad2eed3850f5225ccd78ed",  # 13/2
+    ("theorem6", 4): "9f772034fbc2508990bb5a340686f3d0a87fc2d567ad2eed3850f5225ccd78ed",  # 13/2
+}
+
+
+def test_search_pinned_through_random_phase():
+    got = {}
+    for key in RANDOM_PHASE_PINS:
+        if isinstance(key, tuple):
+            name, mu_max = key
+            best = search_bounds(presets.NETWORKS[name](), mu_max=mu_max)
+        else:
+            spec = random_square_spec((0, key), K_min=3, K_max=4, M_max=6)
+            best = search_bounds(spec, mu_max=3, seed=key)
+        text = json.dumps(best.to_json(), sort_keys=True)
+        got[key] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == RANDOM_PHASE_PINS
 
 
 # ---------------------------------------------------------------------------
