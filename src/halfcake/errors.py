@@ -23,6 +23,10 @@ class SpecTooLarge(HalfCakeError):
     """A spec has more antennas on one side than ``channel_model.MAX_ANTENNAS``."""
 
 
+class SearchTooLarge(HalfCakeError):
+    """A plan search would need more than ``replication_bounds.MAX_FLOOR_ENTRIES`` floor entries."""
+
+
 class NotSquareCase(HalfCakeError):
     """Operation requires per-user equal transmit and receive antennas (M == N)."""
 

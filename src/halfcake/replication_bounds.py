@@ -35,6 +35,7 @@ from .errors import (
     InvalidArgument,
     NonUniformMu,
     PlanViolatesDefinition1,
+    SearchTooLarge,
 )
 from .exact_linalg import (
     MERSENNE61,
@@ -448,6 +449,12 @@ _CHUNK = 1024
 #: rows scored per numpy pass; keeps the kernel's scratch arrays small
 _BATCH = 256
 
+#: most floor-table entries a search may need, sum over mu <= mu_max of
+#: (mu + 1)**K; it enumerates twice as many cut rows, so K = 9 at mu_max 3
+#: (282 339 entries, several seconds and a few hundred MB) passes and
+#: K = 10 at mu_max 3 does not
+MAX_FLOOR_ENTRIES = 2 ** 20
+
 
 def _oriented_partition(mu: int, cuts, swap) -> Tuple[Tuple[Replica, ...], Tuple[Replica, ...]]:
     """Contiguous partition of uniform copies, with the groups exchanged if ``swap``."""
@@ -557,25 +564,20 @@ def candidate_potentials(spec: NetworkSpec, mu, shifts, cuts, swap, arrays=None)
     return out
 
 
-def _potential_floors(spec: NetworkSpec, mus, cuts, swap, arrays=None) -> np.ndarray:
-    """Lower bound on ``candidate_potentials`` that holds for every shift table.
+def _coarse_floors(spec: NetworkSpec, mus, cuts, swap, arrays=None) -> np.ndarray:
+    """A cheaper, weaker ``_potential_floors``: it ignores which copies hear which.
 
-    Row n has n1 = copies of each user in group 1 and n2 = mus[n] - n1 in
-    group 2.  A group-2 receiver copy of user j hears at most the
-    interferers with a copy in group 1, so its row budget is at most
-    rowcap_j = min(N_j, sum of D[j][i] over i with n1_i > 0); likewise a
-    group-1 transmitter copy of user i has column budget at most
-    colcap_i = min(M_i, sum of D[j][i] over j with n2_j > 0).  So the
-    structural cap is at most min(n2 . rowcap, n1 . colcap, Mbar1, Nbar2),
-    and Mbar1 + Nbar2 minus that depends only on (mu, n1).  With mu = 1
-    every copy sits on its user's side and the floor is the potential.
-    ``arrays`` is ``_spec_arrays(spec)``, as in ``candidate_potentials``.
+    A group-2 receiver copy of user j hears at most the interferers with a
+    copy in group 1, so its row budget is at most rowcap_j = min(N_j, sum
+    of D[j][i] over i with n1_i > 0); likewise a group-1 transmitter copy
+    of user i has column budget at most colcap_i = min(M_i, sum of D[j][i]
+    over j with n2_j > 0).  So the structural cap is at most
+    min(n2 . rowcap, n1 . colcap, Mbar1, Nbar2).  Each of these terms is at
+    least the matching term of ``_potential_floors``, so this floor is
+    never above it.
     """
     M, N, D = _spec_arrays(spec) if arrays is None else arrays
-    mus = np.asarray(mus)[:, None]
-    cuts = np.asarray(cuts)
-    n1 = np.where(np.asarray(swap, dtype=bool)[:, None], mus - cuts, cuts)
-    n2 = mus - n1
+    n1, n2 = _group_copies(mus, cuts, swap)
     rowcap = np.minimum(N, (n1 > 0) @ D.T)
     colcap = np.minimum(M, (n2 > 0) @ D)
     mbar1 = n1 @ M
@@ -585,13 +587,82 @@ def _potential_floors(spec: NetworkSpec, mus, cuts, swap, arrays=None) -> np.nda
     return mbar1 + nbar2 - cap
 
 
+def _group_copies(mus, cuts, swap) -> Tuple[np.ndarray, np.ndarray]:
+    """``(n1, n2)``: each row's copies of every user in group 1 and in group 2."""
+    mus = np.asarray(mus)[:, None]
+    cuts = np.asarray(cuts)
+    n1 = np.where(np.asarray(swap, dtype=bool)[:, None], mus - cuts, cuts)
+    return n1, mus - n1
+
+
+def _potential_floors(spec: NetworkSpec, mus, cuts, swap, arrays=None) -> np.ndarray:
+    """Lower bound on ``candidate_potentials`` that holds for every shift table.
+
+    Row n has n1 = copies of each user in group 1 and n2 = mus[n] - n1 in
+    group 2.  In a circulant wiring the group-2 copies b of receiver j hear
+    the distinct copies (b + s_ji) % mu of transmitter i, so at most
+    min(n1_i, n2_j) of them hear a group-1 copy of i.  Split the
+    interferers of j into the big ones, n1_i >= n2_j, whose ranks sum to
+    B_j = sum of D[j][i], and the small ones, 0 < n1_i < n2_j, and let
+    H_j = max(N_j - B_j, 0).  A group-2 copy hears big interferers of
+    weight B <= B_j and small ones of weight T in group 1, so its row
+    budget is
+
+        min(N_j, B + T) <= min(N_j, B_j + T) = min(N_j, B_j) + min(H_j, T),
+
+    and min(H_j, T) is at most the sum of min(D[j][i], H_j) over the small
+    i it hears.  Summed over the n2_j copies, the last term is at most
+    n2_j * H_j, and at most the sum over small i of n1_i * min(D[j][i], H_j),
+    since a small i reaches at most n1_i of them.  So the row budgets of
+    user j sum to at most
+
+        n2_j * min(N_j, B_j) + min(n2_j * H_j, sum of n1_i * min(D[j][i], H_j)),
+
+    and the column budgets of transmitter i to the same bound with M_i, its
+    n1_i group-1 copies and the receivers' n2_j (``_budget_bound``).  The
+    structural cap is at most min(sum of row bounds, sum of column bounds,
+    Mbar1, Nbar2), and Mbar1 + Nbar2 minus that depends only on (mu, n1).
+    With mu = 1 every copy sits on its user's side, no interferer is small,
+    and the floor is the potential.  ``arrays`` is ``_spec_arrays(spec)``,
+    as in ``candidate_potentials``.
+    """
+    M, N, D = _spec_arrays(spec) if arrays is None else arrays
+    n1, n2 = _group_copies(mus, cuts, swap)
+    mbar1 = n1 @ M
+    nbar2 = n2 @ N
+    cap = np.minimum(mbar1, nbar2)
+    for lo in range(0, len(cap), _BATCH):  # the bounds' scratch arrays hold K * K per row
+        part = slice(lo, lo + _BATCH)
+        cap[part] = np.minimum(cap[part], np.minimum(_budget_bound(n2[part], n1[part], D, N),
+                                                     _budget_bound(n1[part], n2[part], D.T, M)))
+    return mbar1 + nbar2 - cap
+
+
+def _budget_bound(own, other, W, cap) -> np.ndarray:
+    """Per row, the bound of ``_potential_floors`` on one side's summed budgets.
+
+    ``own[n][u]`` copies of user u sit on this side, each with budget
+    min(cap[u], rank it hears), ``other[n][v]`` copies of user v on the
+    far side, and ``W[u][v]`` is the rank between u and v (zero for u = v).
+    """
+    big = other[:, None, :] >= own[:, :, None]                  # (n, u, v)
+    base = (big * W).sum(axis=2)
+    head = np.maximum(cap - base, 0)
+    # a small v reaches at most other[v] of u's copies; one with no copy there adds nothing
+    extra = (np.where(big, 0, other[:, None, :]) * np.minimum(W, head[:, :, None])).sum(axis=2)
+    return (own * np.minimum(cap, base) + np.minimum(own * head, extra)).sum(axis=1)
+
+
 class _FloorTable:
-    """``_potential_floors`` of every (mu, n1), n1 the copies of each user in group 1.
+    """A floor of every (mu, n1), n1 the copies of each user in group 1.
 
     A floor depends on a row only through (mu, n1), so the search fills the
-    table from its offset-class groups and reads random rows from it.  The
-    entries of one mu follow those of all smaller ones, ordered by n1 read
-    as a base-(mu + 1) number.
+    table from its offset-class groups and reads random rows from it.  An
+    entry is ``_potential_floors`` where ``_coarse_floors`` left the row
+    able to beat the best at the time, and ``_coarse_floors`` elsewhere:
+    the best only falls, so such a row could not win under either floor.
+    The entries of one mu follow those of all smaller ones, ordered by n1
+    read as a base-(mu + 1) number.
     """
 
     def __init__(self, K: int, mu_max: int):
@@ -618,11 +689,23 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     mu <= mu_max the offset-class shift tables with all per-user
     contiguous cuts in both group orientations, then up to ``2 * budget``
     seeded random full shift tables.  Candidates are screened
-    cheapest-first.  A floor that ignores the shift table
-    (``_potential_floors``, one value per (mu, n1)) drops the rows that
-    cannot beat the current best before anything else is computed.  The
-    offset-class phase computes the floor of every (mu, n1) and keeps them
-    in a table, from which each random row reads its floor.  The
+    cheapest-first.  A floor that holds for every shift table
+    (``_potential_floors``, one value per (mu, n1), n1 the copies of each
+    user in group 1) drops the rows that cannot beat the current best
+    before anything else is computed.  It rests on the circulant wiring: a
+    receiver copy hears exactly one copy of each interferer, and distinct
+    copies of receiver j hear distinct copies of interferer i, so at most
+    n1_i of the n2_j group-2 copies of j hear i from group 1.  An
+    interferer with n1_i >= n2_j may reach every copy; one with fewer
+    group-1 copies reaches at most n1_i of them, and adds at most
+    min(D[j][i], H_j) to each, H_j the antennas N_j left over by the first
+    kind.  Summing these per-copy budgets caps the rows, the same argument
+    with transmitters caps the columns, and the structural cap is at most
+    the smaller sum (the full proof is in ``_potential_floors``).  The
+    offset-class phase computes the floor of every (mu, n1), first the
+    cheaper ``_coarse_floors`` and then the full floor where that one
+    still leaves the row able to win, and keeps them in a table, from
+    which each random row reads its floor.  The
     structural rank cap, computed on integer arrays by
     ``candidate_potentials``, then gives each remaining row a potential
     (best value it could still reach), and only rows whose potential beats
@@ -640,13 +723,20 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     the work: at most ``budget`` rank evaluations (memo hits are free) and
     at most ``2 * budget`` random candidates scored.  The winner is
     re-certified at ``certify_trials``.  Ties break lexicographically on
-    (bound, mu, plan encoding).
+    (bound, mu, plan encoding).  SearchTooLarge if the floor table would
+    have more than ``MAX_FLOOR_ENTRIES`` entries.
     """
     if mu_max < 1:
         raise InvalidArgument(f"mu_max must be >= 1, got {mu_max}")
     if budget < 1:
         raise InvalidArgument(f"budget must be >= 1, got {budget}")
     K = spec.K
+    entries = 0
+    for mu in range(1, mu_max + 1):  # Python ints: stops early on a huge mu_max
+        entries += (mu + 1) ** K
+        if entries > MAX_FLOOR_ENTRIES:
+            raise SearchTooLarge(f"a search over {K} users up to mu_max {mu_max} needs more "
+                                 f"than {MAX_FLOOR_ENTRIES} (mu, cut) floor entries")
     arrays = _spec_arrays(spec)
     best_key = best_plan = None  # best_key = (value, mu, plan encoding)
     evals = 0
@@ -705,7 +795,9 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
                 rank(winners(potentials, live, mus, cuts, swap), tables.__getitem__)
             continue
         mu = int(mus[0])
-        floors = _potential_floors(spec, mus, cuts, swap, arrays)
+        floors = _coarse_floors(spec, mus, cuts, swap, arrays)
+        live = np.flatnonzero(beats_best(floors, mu))
+        floors[live] = _potential_floors(spec, mus[live], cuts[live], swap[live], arrays)
         floor_table.floors[index] = floors
         least_floor[mu] = floors.min()
         tables = iter(tables)

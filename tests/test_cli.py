@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, JSON reports, determinism."""
 
+import copy
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -157,6 +160,13 @@ def _huge_spec(blobs):
     blobs["spec"].update(M=[2 ** 40, 2], N=[2 ** 40, 2])
 
 
+def _many_users(blobs):
+    """12 users with one antenna each: 4**12 floor entries at the default mu_max 3."""
+    from halfcake import NetworkSpec
+
+    blobs["spec"] = NetworkSpec.square((1,) * 12).to_json()
+
+
 #: bad input -> (command and flags, edit of the spec/channel/scheme files)
 BAD_INPUTS = {
     "trials-0": (["analyze", "--trials", "0"], None),
@@ -193,6 +203,9 @@ BAD_INPUTS = {
     "spec-huge-sample": (["sample"], _huge_spec),
     "spec-huge-analyze": (["analyze"], _huge_spec),
     "spec-huge-bound-plan": (["bound"], _huge_spec),
+    # plan searches whose floor table would pass replication_bounds.MAX_FLOOR_ENTRIES
+    "search-many-users": (["analyze"], _many_users),
+    "search-mu-max-huge": (["bound", "--mu-max", "100000"], None),
     "tol-1": (["verify", "--tol", "1"], None),
     "tol-inf": (["verify", "--tol", "inf"], None),
     "tol-nan": (["verify", "--tol", "nan"], None),
@@ -228,14 +241,19 @@ def _prime_slot() -> dict:
     return ext.to_json()["slots"][1]
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_2(tmp_path, capsys, case):
+def _valid_blobs() -> dict:
+    """Spec, channel, scheme and plan files on which every command exits 0."""
     from halfcake import NetworkSpec, ergodic_half_cake, extend_ergodic_pair
 
     spec = NetworkSpec.square((2, 2))
     ext = extend_ergodic_pair(spec, seed=5)
-    blobs = {"spec": spec.to_json(), "channel": ext.to_json(),
-             "scheme": ergodic_half_cake(ext).to_json(), "plan": _plan_2x2()}
+    return {"spec": spec.to_json(), "channel": ext.to_json(),
+            "scheme": ergodic_half_cake(ext).to_json(), "plan": _plan_2x2()}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(tmp_path, capsys, case):
+    blobs = _valid_blobs()
     args, edit = BAD_INPUTS[case]
     if edit is not None:
         edit(blobs)
@@ -246,7 +264,7 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     argv = args + ["--spec", str(paths["spec"])]
     if args[0] == "verify":
         argv += ["--channel", str(paths["channel"]), "--scheme", str(paths["scheme"])]
-    if args[0] == "bound":
+    if args[0] == "bound" and "--mu-max" not in args:
         argv += ["--plan", str(paths["plan"])]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -255,3 +273,76 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
 
+
+
+#: what a fuzzed node may become, besides being deleted or duplicated
+FUZZ_VALUES = [None, True, -1, 0, 2 ** 40, 2.5, float("nan"), "", [], {}, [[1]], {"x": [0]}]
+
+#: command -> the input files it reads
+FUZZ_COMMANDS = {
+    "analyze": ("spec",),
+    "feasibility": ("spec",),
+    "bound": ("spec", "plan"),
+    "verify": ("spec", "channel", "scheme"),
+    "sample": ("spec",),
+}
+
+
+def _fuzz(blob, rng) -> str:
+    """Apply one random mutation to a non-root node of ``blob``; returns what it did."""
+    paths = []
+    stack = [((), blob)]
+    while stack:
+        path, obj = stack.pop()
+        paths.extend(path + (key,) for key in (obj if isinstance(obj, dict) else ()))
+        paths.extend(path + (n,) for n in range(len(obj) if isinstance(obj, list) else 0))
+        children = (obj.items() if isinstance(obj, dict)
+                    else enumerate(obj) if isinstance(obj, list) else ())
+        stack.extend((path + (key,), child) for key, child in children)
+    path = paths[rng.randrange(len(paths))]
+    parent = blob
+    for key in path[:-1]:
+        parent = parent[key]
+    how = rng.randrange(3)
+    if how == 0 and isinstance(parent, dict):
+        del parent[path[-1]]
+        return f"drop {path}"
+    if how == 1 and isinstance(parent, list):
+        parent.insert(path[-1], copy.deepcopy(parent[path[-1]]))
+        return f"duplicate {path}"
+    value = copy.deepcopy(FUZZ_VALUES[rng.randrange(len(FUZZ_VALUES))])
+    parent[path[-1]] = value
+    return f"set {path} = {value!r}"
+
+
+def test_mutated_input_files_never_raise(tmp_path, capsys):
+    valid = _valid_blobs()
+    rng = random.Random(404)
+    exits = Counter()
+    for case in range(300):
+        command = sorted(FUZZ_COMMANDS)[case % len(FUZZ_COMMANDS)]
+        files = FUZZ_COMMANDS[command]
+        blobs = copy.deepcopy(valid)
+        done = [_fuzz(blobs[files[rng.randrange(len(files))]], rng)
+                for _ in range(1 + rng.randrange(2))]
+        paths = {}
+        for name in files:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(blobs[name]))
+        argv = [command, "--spec", str(paths["spec"]), "--out", str(tmp_path / "out.json")]
+        if command == "bound":
+            argv += ["--plan", str(paths["plan"])]
+        if command == "verify":
+            argv += ["--channel", str(paths["channel"]), "--scheme", str(paths["scheme"])]
+        try:
+            code = main(argv)
+        except Exception as exc:  # report the case that escaped, not only its traceback
+            raise AssertionError(f"case {case}, {command}: {done} raised {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (case, command, done)
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (case, command, done, err)
+        exits[code] += 1
+    # the mutations reach past the first check: some inputs still pass
+    assert exits[0] and exits[2]  # the mutations leave some inputs valid

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,10 +31,12 @@ from halfcake.errors import (
     InvalidArgument,
     NonUniformMu,
     PlanViolatesDefinition1,
+    SearchTooLarge,
 )
 from halfcake.replication_bounds import (
     DofBound,
     _candidates,
+    _coarse_floors,
     _FloorTable,
     _potential_floors,
     candidate_potentials,
@@ -382,6 +385,14 @@ def test_candidate_potentials_match_cooperation():
     assert checked == 600
 
 
+def _all_shift_tables(K: int, mu: int) -> np.ndarray:
+    """Every K x K shift table with entries in range(mu) off the diagonal."""
+    links = ~np.eye(K, dtype=bool)
+    tables = np.zeros((mu ** (K * (K - 1)), K, K), dtype=np.int64)
+    tables[:, links] = list(product(range(mu), repeat=K * (K - 1)))
+    return tables
+
+
 def test_potential_floor_never_exceeds_potential():
     rng = np.random.default_rng(2025)
     exact = 0
@@ -398,6 +409,7 @@ def test_potential_floor_never_exceeds_potential():
         cuts = rng.integers(0, mus[:, None] + 1, size=(20, K))
         swap = rng.integers(0, 2, size=20).astype(bool)
         floors = _potential_floors(spec, mus, cuts, swap)
+        assert (floors >= _coarse_floors(spec, mus, cuts, swap)).all()
         for mu in np.unique(mus):
             sel = mus == mu
             got = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel], swap[sel])
@@ -406,6 +418,35 @@ def test_potential_floor_never_exceeds_potential():
                 assert (floors[sel] == got).all()
                 exact += int(sel.sum())
     assert exact > 100
+    # exhaustive: every (mu, cuts, orientation) against its least potential over
+    # every shift table, for K <= 3 and mu <= 3
+    sharper = 0
+    for _ in range(8):
+        K = int(rng.integers(2, 4))
+        M = tuple(int(v) for v in rng.integers(1, 6, size=K))
+        N = tuple(int(v) for v in rng.integers(1, 6, size=K))
+        cross = {(j, i): int(rng.integers(0, min(M[i], N[j]) + 1)) * int(rng.integers(0, 3) > 0)
+                 for j in range(K) for i in range(K) if i != j}
+        spec = NetworkSpec.make(M, N, cross)
+        for mus, cuts, swap, _, _ in _candidates(K, 3, 1, 0, lambda: False):
+            mu, rows = int(mus[0]), len(cuts)
+            tables = _all_shift_tables(K, mu)
+            least = candidate_potentials(
+                spec, mu, np.repeat(tables, rows, axis=0), np.tile(cuts, (len(tables), 1)),
+                np.tile(swap, len(tables))).reshape(len(tables), rows).min(axis=0)
+            floors = _potential_floors(spec, mus, cuts, swap)
+            coarse = _coarse_floors(spec, mus, cuts, swap)
+            assert (floors <= least).all()
+            assert (floors >= coarse).all()
+            if mu == 1:
+                assert (floors == least).all()
+            sharper += int((floors > coarse).sum())
+    assert sharper > 30
+    # example-asym at mu = 2, n1 = (0, 2, 1): user 3's one group-1 copy reaches
+    # one of user 1's two group-2 copies, so the row budgets are 10 + 8, not 20
+    args = (presets.NETWORKS["example-asym"](), np.array([2]), np.array([[0, 2, 1]]),
+            np.array([False]))
+    assert (_coarse_floors(*args)[0], _potential_floors(*args)[0]) == (23, 24)
 
 
 def test_mixed_mu_batches_match_per_mu_calls():
@@ -585,6 +626,42 @@ def test_search_pinned_through_random_phase():
         text = json.dumps(best.to_json(), sort_keys=True)
         got[key] = hashlib.sha256(text.encode()).hexdigest()
     assert got == RANDOM_PHASE_PINS
+
+
+def _search_corpus():
+    """(spec, search_bounds keywords) of the 314 searches that ``CORPUS_DIGEST`` pins."""
+    for t in range(40):
+        yield random_square_spec((0, t), K_min=3, K_max=4, M_max=6), dict(mu_max=3, seed=t)
+    for t in range(200):
+        yield (random_square_spec((7, t), K_min=2, K_max=3, M_max=4),
+               dict(mu_max=3, budget=200, seed=t))
+    for t in range(20):
+        yield (random_square_spec((9, t), K_min=4, K_max=5, M_max=5),
+               dict(mu_max=3, budget=300, seed=t))
+    for name in presets.NETWORKS:
+        for mu_max in (2, 3, 4):
+            for budget in (3, 50, 10000):
+                yield presets.NETWORKS[name](), dict(mu_max=mu_max, budget=budget)
+
+
+#: SHA-256 of the newline-joined sorted-key ``search_bounds(...).to_json()`` over
+#: ``_search_corpus()``, in its order
+CORPUS_DIGEST = "647066c2353fb403b201791271b74e91bc0db32c7b0343b9ee7d101df744fa5a"
+
+
+def test_search_pinned_on_corpus():
+    texts = [json.dumps(search_bounds(spec, **kwargs).to_json(), sort_keys=True)
+             for spec, kwargs in _search_corpus()]
+    assert len(texts) == 314
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == CORPUS_DIGEST
+
+
+def test_search_rejects_oversized_floor_tables():
+    # 2**10 + 3**10 + 4**10 = 1 108 649 entries; K = 9 (282 339) still runs
+    with pytest.raises(SearchTooLarge):
+        search_bounds(NetworkSpec.square((1,) * 10), mu_max=3)
+    with pytest.raises(SearchTooLarge):  # the size check stops summing early
+        search_bounds(NetworkSpec.square((2, 2)), mu_max=3_000_000_000)
 
 
 # ---------------------------------------------------------------------------
