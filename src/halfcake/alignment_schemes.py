@@ -23,7 +23,14 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import presets
-from .channel_model import ExtendedRealization, NetworkSpec, _json_int, decode_matrix, encode_matrix
+from .channel_model import (
+    ExtendedRealization,
+    NetworkSpec,
+    _json_frac,
+    _json_int,
+    decode_matrix,
+    encode_matrix,
+)
 from .errors import (
     BadShape,
     ConditionFails,
@@ -126,7 +133,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "passed": bool(self.passed),
-            "sum_dof": {"num": self.sum_dof.numerator, "den": self.sum_dof.denominator},
+            "sum_dof": _json_frac(self.sum_dof),
             "tol": self.tol,
             "residuals": {f"{j + 1},{i + 1}": v for (j, i), v in sorted(self.residuals.items())},
             "desired_ranks": list(self.desired_ranks),

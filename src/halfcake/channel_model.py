@@ -163,6 +163,11 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_frac(value: Fraction) -> dict:
+    """A fraction as the JSON object ``{"num": ..., "den": ...}``."""
+    return {"num": value.numerator, "den": value.denominator}
+
+
 def validate_spec(spec: NetworkSpec) -> NetworkSpec:
     """Check shapes, rank caps and the ``MAX_ANTENNAS`` ceiling; returns the spec unchanged."""
     K = spec.K
@@ -465,9 +470,9 @@ def extend_ergodic_pair(spec: NetworkSpec, seed: int = 0,
             full = min(spec.M[k], spec.N[k])
             blk = _sample_block(rng, spec.N[k], spec.M[k], full, p)
             diff = base.blocks[(k, k)] - blk
-            if (numerical_rank(diff, domain.tol) if p is None else rank_mod_p(diff % p, p)) != full:
+            if (numerical_rank(diff, domain.tol) if p is None else rank_mod_p(diff, p)) != full:
                 break
-            blocks2[(k, k)] = blk if p is None else blk % p
+            blocks2[(k, k)] = blk
         else:
             return ExtendedRealization((base, ChannelRealization(spec, domain, blocks2, seed)))
     raise DegenerateDesiredDifference("could not sample a full-rank desired difference")

@@ -26,6 +26,7 @@ from .alignment_schemes import (
 from .channel_model import (
     ExtendedRealization,
     NetworkSpec,
+    _json_frac,
     extend_ergodic_pair,
     sample_generic,
     single_slot,
@@ -38,10 +39,6 @@ from .rank_feasibility import (
     lemma1_equivalence_run,
 )
 from .replication_bounds import ReplicationPlan, outer_bound, search_bounds
-
-
-def _frac(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -83,13 +80,13 @@ def cmd_analyze(args) -> int:
         ext = extend_ergodic_pair(spec, seed=args.seed)
         scheme = ergodic_half_cake(ext)
         rep = verify_scheme(ext, scheme, tol=args.tol)
-        achiev["ergodic"] = {"sum_dof": _frac(rep.sum_dof), "passed": rep.passed,
+        achiev["ergodic"] = {"sum_dof": _json_frac(rep.sum_dof), "passed": rep.passed,
                              "max_residual": rep.max_residual}
         exceeding = best_exceeding_scheme(ext, seed=args.seed)
         if exceeding is not None:
             sch, family = exceeding
             rep2 = verify_scheme(ext, sch, tol=args.tol)
-            achiev["exceeding"] = {"scheme": family, "sum_dof": _frac(rep2.sum_dof),
+            achiev["exceeding"] = {"scheme": family, "sum_dof": _json_frac(rep2.sum_dof),
                                    "passed": rep2.passed, "max_residual": rep2.max_residual}
     report["achievability"] = achiev or None
     report["timing_seconds"] = round(time.perf_counter() - t0, 3)
@@ -141,7 +138,7 @@ def _expect(report: dict, name: str, got, want) -> bool:
     ok = got == want
 
     def as_json(v):
-        return _frac(v) if isinstance(v, Fraction) else v
+        return _json_frac(v) if isinstance(v, Fraction) else v
 
     report["checks"].append({"name": name, "got": as_json(got), "want": as_json(want), "ok": ok})
     return ok

@@ -11,20 +11,15 @@ fixed count: the max flow through block rows, block rank budgets and
 block columns bounds the rank of every instantiation, and a trial that
 reaches it has found the generic rank exactly and ends the loop.
 
-Exact ranks and products mod p use no object arrays.  A rank is one
-elimination on rows of Python ints, for any p, that follows the sparsity
-of its input: cooperation matrices of replicated networks are mostly zero
-blocks, since each receiver replica hears one replica of each interferer.
-Columns are swept in order of their nonzero count, fewest first, and a
-pivot updates only the rows with a nonzero in its column, only at its own
-nonzero columns.  Entries grow as nonnegative Python ints and are reduced
-mod p only where they are tested or used as multipliers.
-
-A product at p = 2**61-1 from 100 multiply-adds up runs on uint64 limbs:
-each operand splits into a 30-bit and a 31-bit limb, so limb products fit
-62 bits; 2**61 = 1 and 2**62 = 2 mod p fold the high parts back, and
-``(x & p) + (x >> 61)`` plus one conditional subtraction reduces.  Smaller
-products, and products at other primes, run on Python ints.
+An exact rank mod p is one elimination on rows of Python ints, for any
+p, that follows the sparsity of its input: cooperation matrices of
+replicated networks are mostly zero blocks, since each receiver replica
+hears one replica of each interferer.  Columns are swept in order of their
+nonzero count, fewest first, and a pivot updates only the rows with a
+nonzero in its column, only at its own nonzero columns.  Entries grow as
+nonnegative Python ints and are reduced mod p only where they are tested
+or used as multipliers.  An exact product mod p is one object-array
+product of the residues, whose entries are Python ints.
 
 Numerical work on concrete complex realizations (null spaces for
 beamformer construction, decodability ranks) uses SVD with a relative
@@ -36,7 +31,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -158,17 +152,6 @@ class ScalarDomain:
 # exact rank and products over a prime field
 # ---------------------------------------------------------------------------
 
-#: A product at 2**61-1 runs on uint64 limbs from this many multiply-adds
-#: up; below it (about 5 x 4 x 5), the limb kernel's twenty or so numpy
-#: calls cost more than Python ints.
-_MATMUL_CUTOFF_MACS = 100
-
-_P61 = np.uint64(MERSENNE61)
-_LO30 = np.uint64((1 << 30) - 1)
-_LO31 = np.uint64((1 << 31) - 1)
-_S1, _S30, _S31, _S61 = (np.uint64(s) for s in (1, 30, 31, 61))
-
-
 def _residues(A: np.ndarray, mat, p: int) -> np.ndarray:
     """New int64 or uint64 array of the residues in [0, p) of ``mat``, given as
     ``A = np.asarray(mat)``; p < 2**63.  Entries that are not machine integers
@@ -178,39 +161,7 @@ def _residues(A: np.ndarray, mat, p: int) -> np.ndarray:
         return A.astype(np.uint64, copy=False) % np.uint64(p)
     if A.dtype.kind in "ib":
         return A.astype(np.int64, copy=False) % p
-    return np.array([[int(x) % p for x in row] for row in mat], dtype=np.uint64)
-
-
-def _residue_rows(A: np.ndarray, mat, p: int) -> list:
-    """Rows of Python-int residues in [0, p) of ``mat``, for any p."""
-    if p < 1 << 63:
-        return _residues(A, mat, p).tolist()
-    return [[int(x) % p for x in row] for row in mat]
-
-
-def _reduce61(x: np.ndarray) -> np.ndarray:
-    """x mod 2**61-1 for any uint64 x: fold with 2**61 = 1, then subtract p once.
-
-    The fold leaves at most p + 7; where it is below p, ``y - p`` wraps
-    around above ``y`` and the minimum keeps ``y``.
-    """
-    y = (x & _P61) + (x >> _S61)
-    return np.minimum(y, y - _P61)
-
-
-def _mul61_lazy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b mod 2**61-1 up to a multiple of p, as uint64 below 2**63 + 2**32.
-
-    Operands broadcast and hold residues below p.  Each splits into a
-    30-bit high and a 31-bit low limb, so every limb product fits 62 bits;
-    the high-high product has weight 2**62 = 2 and the cross terms weight
-    2**31, whose part above bit 30 wraps through 2**61 = 1.
-    """
-    a1, a0 = a >> _S31, a & _LO31
-    b1, b0 = b >> _S31, b & _LO31
-    mid = a1 * b0 + a0 * b1  # < 2**62
-    return ((a1 << _S1) * b1 + a0 * b0
-            + (mid >> _S30) + ((mid & _LO30) << _S31))
+    return np.array([[int(x) % p for x in row] for row in mat], dtype=np.uint64).reshape(A.shape)
 
 
 def rank_mod_p(mat, p: int = MERSENNE61) -> int:
@@ -232,7 +183,7 @@ def rank_mod_p(mat, p: int = MERSENNE61) -> int:
         R = _residues(A, mat, p)
         rows = R[:, np.argsort((R != 0).sum(axis=0), kind="stable")].tolist()
     else:
-        rows = _residue_rows(A, mat, p)  # no machine-word counts: input order
+        rows = [[int(x) % p for x in row] for row in mat]  # no machine-word counts: input order
     n = len(rows[0])
     r = 0
     for c in range(n):
@@ -254,20 +205,11 @@ def rank_mod_p(mat, p: int = MERSENNE61) -> int:
 def matmul_mod_p(A, B, p: int = MERSENNE61) -> np.ndarray:
     """Exact product of integer matrices mod p (returned as int64; p < 2**63)."""
     A_arr, B_arr = np.asarray(A), np.asarray(B)
-    (m, k), (k2, n) = A_arr.shape, B_arr.shape
+    (_, k), (k2, _) = A_arr.shape, B_arr.shape
     if k != k2:
         raise ValueError(f"cannot multiply {A_arr.shape} by {B_arr.shape}")
-    if p == MERSENNE61 and m * k * n >= _MATMUL_CUTOFF_MACS:
-        terms = _reduce61(_mul61_lazy(_residues(A_arr, A, p).view(np.uint64)[:, :, None],
-                                      _residues(B_arr, B, p).view(np.uint64)[None, :, :]))
-        acc = np.zeros((m, n), dtype=np.uint64)
-        for j in range(0, k, 7):  # p plus 7 residues stay below 2**64
-            acc = _reduce61(acc + terms[:, j : j + 7].sum(axis=1))
-        return acc.astype(np.int64)
-    cols = list(zip(*_residue_rows(B_arr, B, p))) or [()] * n  # k = 0: no rows to zip
-    prod = [[sum(map(mul, row, col)) % p for col in cols]
-            for row in _residue_rows(A_arr, A, p)]
-    return np.array(prod, dtype=np.int64).reshape(m, n)
+    prod = _residues(A_arr, A, p).astype(object) @ _residues(B_arr, B, p).astype(object)
+    return (prod % p).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
-from .channel_model import NetworkSpec
+from .channel_model import NetworkSpec, _json_frac
 from .errors import (
     CertificateInfeasible,
     ConditionFails,
@@ -430,12 +430,12 @@ class HalfCakeVerdict:
     def to_json(self) -> dict:
         out = {
             "status": self.status,
-            "half_cake": {"num": self.half_cake.numerator, "den": self.half_cake.denominator},
+            "half_cake": _json_frac(self.half_cake),
             "certificate": self.certificate.to_json() if self.certificate else None,
             "witnesses": list(self.witnesses),
         }
         if self.bound is not None:
-            out["bound"] = {"num": self.bound.numerator, "den": self.bound.denominator}
+            out["bound"] = _json_frac(self.bound)
         return out
 
 

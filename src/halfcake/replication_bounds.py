@@ -26,6 +26,7 @@ from .channel_model import (
     ChannelRealization,
     ExtendedRealization,
     NetworkSpec,
+    _json_frac,
     _json_int,
 )
 from .errors import (
@@ -242,9 +243,6 @@ class ReplicatedNetwork:
     #: (rx index, tx index) into ``users`` -> original (j, i), absent means zero
     source: Dict[Tuple[int, int], Tuple[int, int]]
 
-    def index(self, replica: Replica) -> int:
-        return self.users.index(replica)
-
     @property
     def rep_spec(self) -> NetworkSpec:
         """The replicated network as a spec of its own, one user per replica."""
@@ -358,7 +356,7 @@ class DofBound:
 
     def to_json(self) -> dict:
         return {
-            "bound": {"num": self.value.numerator, "den": self.value.denominator},
+            "bound": _json_frac(self.value),
             "mu": self.mu,
             "rank": self.rank,
             "Mbar1": self.Mbar1,

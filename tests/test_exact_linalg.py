@@ -265,13 +265,13 @@ def test_bad_trials_and_domain_tags_raise_invalid_argument():
 
 
 # ---------------------------------------------------------------------------
-# prime-field kernels: Python-int ranks; uint64 limb products at 2**61-1
+# prime-field kernels: Python-int ranks and object-array products
 # ---------------------------------------------------------------------------
 
 #: a 41-bit prime, served by the Python-int path at every size
 P41 = 1_099_511_627_791
 
-#: residues that sit on the limb and fold boundaries of the uint64 product kernel
+#: residues at the 32-bit, 2**60 and 2**61 - 1 boundaries
 EDGE_RESIDUES = (0, 1, MERSENNE61 - 1, (1 << 32) - 1, 1 << 32, 1 << 60)
 
 #: square and rectangular shapes, from single cells to dense inputs larger than
@@ -371,9 +371,9 @@ def test_matmul_matches_python_ints_on_20000_pairs():
     assert got.tolist() == reference_product(a, b, p)
 
 
-@pytest.mark.parametrize("p", [MERSENNE61, P41])
+@pytest.mark.parametrize("p", [MERSENNE61, P41, (1 << 31) - 1])
 @pytest.mark.parametrize("mkn", [(1, 1, 1), (2, 3, 2), (4, 4, 5), (5, 4, 5), (10, 6, 8),
-                                 (7, 23, 9), (3, 0, 4)])
+                                 (7, 23, 9), (3, 0, 4), (4, 1, 3)])
 def test_matmul_matches_python_ints(mkn, p):
     m, k, n = mkn
     rng = np.random.default_rng(m * 100 + k * 10 + n)
@@ -381,6 +381,7 @@ def test_matmul_matches_python_ints(mkn, p):
     B = rng.integers(-p, p, size=(k, n), dtype=np.int64)
     expected = reference_product(A, B, p)
     assert matmul_mod_p(A, B, p).tolist() == expected
+    assert matmul_mod_p(A.astype(np.uint64), B, p).tolist() == expected
     if k:  # nested lists cannot carry an empty inner dimension
         big = np.array([[x + 7 ** 40 * p for x in row] for row in B.tolist()], dtype=object)
         assert matmul_mod_p(A.tolist(), big, p).tolist() == expected
