@@ -241,9 +241,16 @@ def cmd_reproduce(args) -> int:
     return 0 if report["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises InvalidArgument instead of printing usage and exiting; subparsers inherit it."""
+
+    def error(self, message):
+        raise InvalidArgument(message)
+
+
 @functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="halfcake",
         description="DoF optimality analysis for rank-constrained MIMO interference networks",
     )
@@ -294,18 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.trials < 1:
             raise InvalidArgument(f"--trials must be >= 1, got {args.trials}")
         if not 0 < args.tol < 1:
             raise InvalidArgument(f"tol must lie in (0, 1), got {args.tol}")
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except HalfCakeError as exc:
+    except (OSError, json.JSONDecodeError, HalfCakeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

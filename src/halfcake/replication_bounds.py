@@ -471,6 +471,11 @@ def _offset_class_shifts(K: int, mu: int):
         yield table
 
 
+def _cut_rows(K: int, mu: int) -> np.ndarray:
+    """Every per-user cut in range(mu + 1), the last user's varying fastest."""
+    return np.indices((mu + 1,) * K, dtype=np.int64).reshape(K, -1).T
+
+
 def _candidates(K: int, mu_max: int, budget: int, seed: int, draw_more):
     """Groups ``(mus, cuts, swap, tables, ranked)`` of circulant candidates.
 
@@ -479,15 +484,13 @@ def _candidates(K: int, mu_max: int, budget: int, seed: int, draw_more):
     mu <= mu_max, every per-user cut in both group orientations; ``tables``
     lazily yields the offset-class shift tables, each paired with every
     row (``ranked``: the search walks each table's rows best potential
-    first).  Between them these groups hold every (mu, n1), n1 the copies
-    of each user in group 1, so their floors fill the search's floor
-    table.  Then up to ``2 * budget`` random rows with 2 <= mu <= mu_max,
+    first).  Then up to ``2 * budget`` random rows with 2 <= mu <= mu_max,
     ``tables`` an (n, K, K) array of one random full shift table per row,
     drawn from one seeded stream ``_CHUNK`` rows at a time (walked in draw
     order).  A chunk is drawn only while ``draw_more()`` holds.
     """
     for mu in range(1, mu_max + 1):
-        one_side = np.array(list(product(range(mu + 1), repeat=K)), dtype=np.int64)
+        one_side = _cut_rows(K, mu)
         cuts = np.concatenate([one_side, one_side])
         swap = np.repeat([False, True], len(one_side))
         yield np.full(len(cuts), mu), cuts, swap, _offset_class_shifts(K, mu), True
@@ -562,29 +565,6 @@ def candidate_potentials(spec: NetworkSpec, mu, shifts, cuts, swap, arrays=None)
     return out
 
 
-def _coarse_floors(spec: NetworkSpec, mus, cuts, swap, arrays=None) -> np.ndarray:
-    """A cheaper, weaker ``_potential_floors``: it ignores which copies hear which.
-
-    A group-2 receiver copy of user j hears at most the interferers with a
-    copy in group 1, so its row budget is at most rowcap_j = min(N_j, sum
-    of D[j][i] over i with n1_i > 0); likewise a group-1 transmitter copy
-    of user i has column budget at most colcap_i = min(M_i, sum of D[j][i]
-    over j with n2_j > 0).  So the structural cap is at most
-    min(n2 . rowcap, n1 . colcap, Mbar1, Nbar2).  Each of these terms is at
-    least the matching term of ``_potential_floors``, so this floor is
-    never above it.
-    """
-    M, N, D = _spec_arrays(spec) if arrays is None else arrays
-    n1, n2 = _group_copies(mus, cuts, swap)
-    rowcap = np.minimum(N, (n1 > 0) @ D.T)
-    colcap = np.minimum(M, (n2 > 0) @ D)
-    mbar1 = n1 @ M
-    nbar2 = n2 @ N
-    cap = np.minimum(np.minimum((n2 * rowcap).sum(axis=1), (n1 * colcap).sum(axis=1)),
-                     np.minimum(mbar1, nbar2))
-    return mbar1 + nbar2 - cap
-
-
 def _group_copies(mus, cuts, swap) -> Tuple[np.ndarray, np.ndarray]:
     """``(n1, n2)``: each row's copies of every user in group 1 and in group 2."""
     mus = np.asarray(mus)[:, None]
@@ -652,31 +632,32 @@ def _budget_bound(own, other, W, cap) -> np.ndarray:
 
 
 class _FloorTable:
-    """A floor of every (mu, n1), n1 the copies of each user in group 1.
+    """``_potential_floors`` of every (mu, n1) with mu <= mu_max, computed once.
 
-    A floor depends on a row only through (mu, n1), so the search fills the
-    table from its offset-class groups and reads random rows from it.  An
-    entry is ``_potential_floors`` where ``_coarse_floors`` left the row
-    able to beat the best at the time, and ``_coarse_floors`` elsewhere:
-    the best only falls, so such a row could not win under either floor.
-    The entries of one mu follow those of all smaller ones, ordered by n1
-    read as a base-(mu + 1) number.
+    n1 is the copies of each user in group 1, and a row's floor depends on
+    the row only through (mu, n1).  The entries of one mu follow those of
+    all smaller ones, ordered by n1 read as a base-(mu + 1) number;
+    ``least[mu]`` is the least floor of that mu.
     """
 
-    def __init__(self, K: int, mu_max: int):
-        self.starts = np.concatenate([[0, 0], np.cumsum(np.arange(2, mu_max + 2) ** K)])
-        self.floors = np.zeros(self.starts[-1], dtype=np.int64)
+    def __init__(self, spec: NetworkSpec, mu_max: int, arrays=None):
+        self.starts = np.concatenate([[0, 0], np.cumsum(np.arange(2, mu_max + 2) ** spec.K)])
+        parts = []
+        for mu in range(1, mu_max + 1):
+            n1 = _cut_rows(spec.K, mu)
+            parts.append(_potential_floors(spec, np.full(len(n1), mu), n1,
+                                           np.zeros(len(n1), dtype=bool), arrays))
+        self.floors = np.concatenate(parts)
+        self.least = np.array([0] + [part.min() for part in parts])
 
-    def index(self, mus, cuts, swap) -> np.ndarray:
-        """Each row's position in ``floors``."""
-        mus, cuts = np.asarray(mus), np.asarray(cuts)
-        base = mus + 1
-        digits = cuts[:, 0]
-        for k in range(1, cuts.shape[1]):
-            digits = digits * base + cuts[:, k]
-        # a swapped row has n1 = mu - cuts: every digit d becomes base - 1 - d
-        swapped = base ** cuts.shape[1] - 1 - digits
-        return self.starts[mus] + np.where(np.asarray(swap, dtype=bool), swapped, digits)
+    def lookup(self, mus, cuts, swap) -> np.ndarray:
+        """The floor of each row."""
+        mus = np.asarray(mus)
+        n1, _ = _group_copies(mus, cuts, swap)
+        index = n1[:, 0]
+        for k in range(1, n1.shape[1]):
+            index = index * (mus + 1) + n1[:, k]
+        return self.floors[self.starts[mus] + index]
 
 
 def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int = 0,
@@ -688,41 +669,28 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     contiguous cuts in both group orientations, then up to ``2 * budget``
     seeded random full shift tables.  Candidates are screened
     cheapest-first.  A floor that holds for every shift table
-    (``_potential_floors``, one value per (mu, n1), n1 the copies of each
-    user in group 1) drops the rows that cannot beat the current best
-    before anything else is computed.  It rests on the circulant wiring: a
-    receiver copy hears exactly one copy of each interferer, and distinct
-    copies of receiver j hear distinct copies of interferer i, so at most
-    n1_i of the n2_j group-2 copies of j hear i from group 1.  An
-    interferer with n1_i >= n2_j may reach every copy; one with fewer
-    group-1 copies reaches at most n1_i of them, and adds at most
-    min(D[j][i], H_j) to each, H_j the antennas N_j left over by the first
-    kind.  Summing these per-copy budgets caps the rows, the same argument
-    with transmitters caps the columns, and the structural cap is at most
-    the smaller sum (the full proof is in ``_potential_floors``).  The
-    offset-class phase computes the floor of every (mu, n1), first the
-    cheaper ``_coarse_floors`` and then the full floor where that one
-    still leaves the row able to win, and keeps them in a table, from
-    which each random row reads its floor.  The
+    (``_potential_floors``, which gives the proof) drops the rows that
+    cannot beat the current best before anything else is computed; it
+    depends only on (mu, n1), so ``_FloorTable`` computes it once for
+    every (mu, n1) before the walk, and both phases read it there.  The
     structural rank cap, computed on integer arrays by
     ``candidate_potentials``, then gives each remaining row a potential
     (best value it could still reach), and only rows whose potential beats
     the current best are built as plans and pay for a rank evaluation over
     2**61-1.  Potentials are scored in batches: a random chunk's live rows
     of every mu in one call, and for one mu the live rows of as many
-    offset-class tables as fit in ``_BATCH`` rows.  A potential does not
-    depend on the best, and the best only falls, so rows scored ahead are
-    re-filtered against the best when their table's turn comes.
-    Offset-class candidates are walked by (potential, partition), random
-    ones in draw order.  A mu whose least floor over all cuts cannot beat
-    the best never can: its remaining offset-class tables are skipped, and
-    no random chunk is drawn once no mu in 2..mu_max can win.  None of this
-    changes the rows that are evaluated or their order.  ``budget`` bounds
-    the work: at most ``budget`` rank evaluations (memo hits are free) and
-    at most ``2 * budget`` random candidates scored.  The winner is
-    re-certified at ``certify_trials``.  Ties break lexicographically on
-    (bound, mu, plan encoding).  SearchTooLarge if the floor table would
-    have more than ``MAX_FLOOR_ENTRIES`` entries.
+    offset-class tables as fit in ``_BATCH`` rows.  A row scored ahead is
+    tested against the best when its table's turn comes; if its floor no
+    longer beats the best, neither does its potential.  Offset-class
+    candidates are walked by (potential, partition), random ones in draw
+    order.  The walk of a mu ends once its least floor cannot beat the
+    best, and no random chunk is drawn once no mu in 2..mu_max can win.
+    None of this changes the rows that are evaluated or their order.
+    ``budget`` bounds the work: at most ``budget`` rank evaluations (memo
+    hits are free) and at most ``2 * budget`` random candidates scored.
+    The winner is re-certified at ``certify_trials``.  Ties break
+    lexicographically on (bound, mu, plan encoding).  SearchTooLarge if
+    the floor table would have more than ``MAX_FLOOR_ENTRIES`` entries.
     """
     if mu_max < 1:
         raise InvalidArgument(f"mu_max must be >= 1, got {mu_max}")
@@ -736,11 +704,10 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
             raise SearchTooLarge(f"a search over {K} users up to mu_max {mu_max} needs more "
                                  f"than {MAX_FLOOR_ENTRIES} (mu, cut) floor entries")
     arrays = _spec_arrays(spec)
+    floors = _FloorTable(spec, mu_max, arrays)
     best_key = best_plan = None  # best_key = (value, mu, plan encoding)
     evals = 0
     rank_memo: dict = {}
-    least_floor = np.zeros(mu_max + 1, dtype=np.int64)  # per mu, over all cuts and orientations
-    floor_table = _FloorTable(K, mu_max)
     random_mus = np.arange(2, mu_max + 1)
 
     def beats_best(potential, mu):
@@ -751,7 +718,7 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
 
     def draw_more():
         """Whether budget is left and some mu in 2..mu_max can still beat the best."""
-        return evals < budget and bool(beats_best(least_floor[random_mus], random_mus).any())
+        return evals < budget and bool(beats_best(floors.least[random_mus], random_mus).any())
 
     def winners(potentials, live, mus, cuts, swap):
         """Rows (potential, mu, partition, n) of ``live`` whose potential beats the best."""
@@ -784,39 +751,30 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     for mus, cuts, swap, tables, ranked in _candidates(K, mu_max, budget, seed, draw_more):
         if evals >= budget:
             break
-        index = floor_table.index(mus, cuts, swap)
+        row_floors = floors.lookup(mus, cuts, swap)
         if not ranked:
-            live = np.flatnonzero(beats_best(floor_table.floors[index], mus))
+            live = np.flatnonzero(beats_best(row_floors, mus))
             if len(live):
                 potentials = candidate_potentials(spec, mus[live], tables[live], cuts[live],
                                                   swap[live], arrays)
                 rank(winners(potentials, live, mus, cuts, swap), tables.__getitem__)
             continue
         mu = int(mus[0])
-        floors = _coarse_floors(spec, mus, cuts, swap, arrays)
-        live = np.flatnonzero(beats_best(floors, mu))
-        floors[live] = _potential_floors(spec, mus[live], cuts[live], swap[live], arrays)
-        floor_table.floors[index] = floors
-        least_floor[mu] = floors.min()
         tables = iter(tables)
-        scored = pending = ()  # live rows at the last scoring call; (table, potentials) ahead
-        while True:
-            live = np.flatnonzero(beats_best(floors, mu))
-            if evals >= budget or not len(live):
-                break
+        pending = ()  # (table, potentials of the rows ``live`` when scored) ahead
+        while evals < budget and beats_best(floors.least[mu], mu):
             if not pending:
+                live = np.flatnonzero(beats_best(row_floors, mu))
                 batch = list(islice(tables, max(1, _BATCH // len(live))))
                 if not batch:
                     break
-                scored = live
                 potentials = candidate_potentials(
                     spec, mu, np.repeat(batch, len(live), axis=0),
                     np.tile(cuts[live], (len(batch), 1)), np.tile(swap[live], len(batch)),
                     arrays)
                 pending = deque(zip(batch, potentials.reshape(len(batch), len(live))))
             table, potentials = pending.popleft()
-            rows = winners(potentials[np.searchsorted(scored, live)], live, mus, cuts, swap)
-            rank(sorted(rows), lambda n: table)
+            rank(sorted(winners(potentials, live, mus, cuts, swap)), lambda n: table)
 
     return outer_bound(spec, best_plan, trials=certify_trials, seed=seed)
 

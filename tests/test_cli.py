@@ -45,10 +45,33 @@ def test_analyze_reduced_example(tmp_path, reduced_spec):
     assert report["verdict"]["certificate"] is not None
 
 
-def test_analyze_malformed_json_exits_2(tmp_path):
+def _one_error_line(capsys):
+    """Assert that the last command printed nothing but one ``error:`` line."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_analyze_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["analyze", "--spec", str(bad)]) == 2
+    _one_error_line(capsys)
+
+
+def test_missing_file_and_unknown_command_exit_2(tmp_path, capsys):
+    assert main(["analyze", "--spec", str(tmp_path / "missing.json")]) == 2
+    _one_error_line(capsys)
+    assert main(["bogus"]) == 2
+    _one_error_line(capsys)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--mu-max" in capsys.readouterr().out
 
 
 def test_analyze_invalid_spec_exits_2(tmp_path):
@@ -170,6 +193,8 @@ def _many_users(blobs):
 #: bad input -> (command and flags, edit of the spec/channel/scheme files)
 BAD_INPUTS = {
     "trials-0": (["analyze", "--trials", "0"], None),
+    "seed-nan": (["analyze", "--seed", "nan"], None),
+    "unknown-flag": (["analyze", "--bogus", "1"], None),
     "domain-prime-7": (["sample", "--domain", "prime:7"], None),
     "domain-bogus": (["sample", "--domain", "bogus"], None),
     "antennas-float": (["analyze"], _edit("spec", "M", 0, value=2.5)),
@@ -313,9 +338,20 @@ def _fuzz(blob, rng) -> str:
     return f"set {path} = {value!r}"
 
 
-def test_mutated_input_files_never_raise(tmp_path, capsys):
-    valid = _valid_blobs()
-    rng = random.Random(404)
+def _valid_reduced_blobs() -> dict:
+    """Files of a 3-user reduced-rank spec, with the plan in the ``mirror`` encoding."""
+    from halfcake import NetworkSpec, ReplicationPlan, ergodic_half_cake, extend_ergodic_pair
+
+    spec = NetworkSpec.square((2, 2, 2), {(0, 1): 1, (2, 0): 1})
+    ext = extend_ergodic_pair(spec, seed=6)
+    return {"spec": spec.to_json(), "channel": ext.to_json(),
+            "scheme": ergodic_half_cake(ext).to_json(),
+            "plan": dict(ReplicationPlan.mirror(3).to_json(), assign="mirror")}
+
+
+def _fuzz_commands(valid, seed, tmp_path, capsys) -> Counter:
+    """Run every command on 300 mutated copies of ``valid``; counts the exit codes."""
+    rng = random.Random(seed)
     exits = Counter()
     for case in range(300):
         command = sorted(FUZZ_COMMANDS)[case % len(FUZZ_COMMANDS)]
@@ -342,4 +378,14 @@ def test_mutated_input_files_never_raise(tmp_path, capsys):
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (case, command, done, err)
         exits[code] += 1
+    return exits
+
+
+def test_mutated_input_files_never_raise(tmp_path, capsys):
+    exits = _fuzz_commands(_valid_blobs(), 404, tmp_path, capsys)
     assert exits[0] and exits[2]  # the mutations leave some inputs valid
+
+
+def test_mutated_reduced_rank_files_never_raise(tmp_path, capsys):
+    exits = _fuzz_commands(_valid_reduced_blobs(), 405, tmp_path, capsys)
+    assert exits[0] and exits[2]

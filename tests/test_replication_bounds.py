@@ -36,7 +36,6 @@ from halfcake.errors import (
 from halfcake.replication_bounds import (
     DofBound,
     _candidates,
-    _coarse_floors,
     _FloorTable,
     _potential_floors,
     candidate_potentials,
@@ -409,7 +408,6 @@ def test_potential_floor_never_exceeds_potential():
         cuts = rng.integers(0, mus[:, None] + 1, size=(20, K))
         swap = rng.integers(0, 2, size=20).astype(bool)
         floors = _potential_floors(spec, mus, cuts, swap)
-        assert (floors >= _coarse_floors(spec, mus, cuts, swap)).all()
         for mu in np.unique(mus):
             sel = mus == mu
             got = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel], swap[sel])
@@ -420,7 +418,6 @@ def test_potential_floor_never_exceeds_potential():
     assert exact > 100
     # exhaustive: every (mu, cuts, orientation) against its least potential over
     # every shift table, for K <= 3 and mu <= 3
-    sharper = 0
     for _ in range(8):
         K = int(rng.integers(2, 4))
         M = tuple(int(v) for v in rng.integers(1, 6, size=K))
@@ -435,18 +432,14 @@ def test_potential_floor_never_exceeds_potential():
                 spec, mu, np.repeat(tables, rows, axis=0), np.tile(cuts, (len(tables), 1)),
                 np.tile(swap, len(tables))).reshape(len(tables), rows).min(axis=0)
             floors = _potential_floors(spec, mus, cuts, swap)
-            coarse = _coarse_floors(spec, mus, cuts, swap)
             assert (floors <= least).all()
-            assert (floors >= coarse).all()
             if mu == 1:
                 assert (floors == least).all()
-            sharper += int((floors > coarse).sum())
-    assert sharper > 30
     # example-asym at mu = 2, n1 = (0, 2, 1): user 3's one group-1 copy reaches
     # one of user 1's two group-2 copies, so the row budgets are 10 + 8, not 20
     args = (presets.NETWORKS["example-asym"](), np.array([2]), np.array([[0, 2, 1]]),
             np.array([False]))
-    assert (_coarse_floors(*args)[0], _potential_floors(*args)[0]) == (23, 24)
+    assert _potential_floors(*args)[0] == 24
 
 
 def test_mixed_mu_batches_match_per_mu_calls():
@@ -472,17 +465,14 @@ def test_mixed_mu_batches_match_per_mu_calls():
             want = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel], swap[sel])
             assert (got[sel] == want).all()
         mixed += int(len(np.unique(mus)) > 1)
-        # the floor table as the search fills it from the offset-class groups
-        table = _FloorTable(K, mu_max)
-        filled = []
+        # the floor table as the search builds it: one entry per (mu, n1)
+        table = _FloorTable(spec, mu_max)
+        assert len(table.floors) == sum((mu + 1) ** K for mu in range(1, mu_max + 1))
         for g_mus, g_cuts, g_swap, _, _ in _candidates(K, mu_max, 1, t, lambda: False):
-            index = table.index(g_mus, g_cuts, g_swap)
-            table.floors[index] = _potential_floors(spec, g_mus, g_cuts, g_swap)
-            filled.append(index)
-        # the (mu, n1) pairs, sum of (mu + 1)**K, fill every entry once
-        assert np.array_equal(np.unique(np.concatenate(filled)), np.arange(len(table.floors)))
-        looked_up = table.floors[table.index(mus, cuts, swap)]
-        assert (looked_up == _potential_floors(spec, mus, cuts, swap)).all()
+            group = _potential_floors(spec, g_mus, g_cuts, g_swap)
+            assert (table.lookup(g_mus, g_cuts, g_swap) == group).all()
+            assert table.least[g_mus[0]] == group.min()
+        assert (table.lookup(mus, cuts, swap) == _potential_floors(spec, mus, cuts, swap)).all()
     assert mixed > 20
 
 
