@@ -183,6 +183,8 @@ def validate_spec(spec: NetworkSpec) -> NetworkSpec:
     for j in range(K):
         for i in range(K):
             if i == j:
+                if spec.D[j][i] is not None:
+                    raise BadShape(f"D[{j + 1}][{j + 1}] is a desired link and must be null")
                 continue
             d = spec.D[j][i]
             if d is None or d < 0:

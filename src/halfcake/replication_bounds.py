@@ -14,7 +14,6 @@ linear-scheme lifting argument and is unique up to those scalars.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
@@ -106,14 +105,8 @@ class ReplicationPlan:
             raise BadShape(f"plan shift table must be {K} x {K}")
         partition = _normalize_partition(partition)
         _check_partition(mu, partition)
-        assign = {}
-        for j in range(K):
-            for i in range(K):
-                if i == j:
-                    continue
-                s = int(shifts[j][i])
-                for beta in range(mu[j]):
-                    assign[(j, beta, i)] = (beta + s) % mu[i]
+        assign = {(j, beta, i): (beta + int(shifts[j][i])) % mu[i]
+                  for j in range(K) for i in range(K) if i != j for beta in range(mu[j])}
         return cls(mu, assign, partition)
 
     @classmethod
@@ -203,16 +196,10 @@ def _check_partition(mu: Sequence[int], partition) -> None:
 def _as_shift_table(plan: ReplicationPlan):
     """Recover a circulant shift table when the wiring is circulant, else None."""
     K = len(plan.mu)
-    shifts = [[None] * K for _ in range(K)]
-    for j in range(K):
-        for i in range(K):
-            if i == j:
-                continue
-            base = plan.assign[(j, 0, i)]
-            for beta in range(plan.mu[j]):
-                if plan.assign[(j, beta, i)] != (beta + base) % plan.mu[i]:
-                    return None
-            shifts[j][i] = base
+    shifts = [[None if i == j else plan.assign[(j, 0, i)] for i in range(K)] for j in range(K)]
+    if any(alpha != (beta + shifts[j][i]) % plan.mu[i]
+           for (j, beta, i), alpha in plan.assign.items()):
+        return None
     return shifts
 
 
@@ -463,50 +450,12 @@ def _oriented_partition(mu: int, cuts, swap) -> Tuple[Tuple[Replica, ...], Tuple
 def _offset_class_shifts(K: int, mu: int):
     """Shift tables that depend only on (i - j) mod K; covers the mirror wiring."""
     for combo in product(range(mu), repeat=K - 1):
-        table = [[0] * K for _ in range(K)]
-        for j in range(K):
-            for i in range(K):
-                if i != j:
-                    table[j][i] = combo[(i - j) % K - 1]
-        yield table
+        yield [[0 if i == j else combo[(i - j) % K - 1] for i in range(K)] for j in range(K)]
 
 
 def _cut_rows(K: int, mu: int) -> np.ndarray:
     """Every per-user cut in range(mu + 1), the last user's varying fastest."""
     return np.indices((mu + 1,) * K, dtype=np.int64).reshape(K, -1).T
-
-
-def _candidates(K: int, mu_max: int, budget: int, seed: int, draw_more):
-    """Groups ``(mus, cuts, swap, tables, ranked)`` of circulant candidates.
-
-    A group's rows have replica count ``mus[n]``, per-user cuts ``cuts[n]``
-    and the groups exchanged where ``swap[n]``.  First, for each
-    mu <= mu_max, every per-user cut in both group orientations; ``tables``
-    lazily yields the offset-class shift tables, each paired with every
-    row (``ranked``: the search walks each table's rows best potential
-    first).  Then up to ``2 * budget`` random rows with 2 <= mu <= mu_max,
-    ``tables`` an (n, K, K) array of one random full shift table per row,
-    drawn from one seeded stream ``_CHUNK`` rows at a time (walked in draw
-    order).  A chunk is drawn only while ``draw_more()`` holds.
-    """
-    for mu in range(1, mu_max + 1):
-        one_side = _cut_rows(K, mu)
-        cuts = np.concatenate([one_side, one_side])
-        swap = np.repeat([False, True], len(one_side))
-        yield np.full(len(cuts), mu), cuts, swap, _offset_class_shifts(K, mu), True
-    if mu_max < 2:
-        return
-    rng = rng_from(seed, 0x5E)
-    links = ~np.eye(K, dtype=bool)
-    for drawn in range(0, 2 * budget, _CHUNK):
-        if not draw_more():
-            return
-        n = min(_CHUNK, 2 * budget - drawn)
-        mus = rng.integers(2, mu_max + 1, size=n)
-        shifts = rng.integers(0, mus[:, None, None], size=(n, K, K)) * links
-        cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
-        swap = rng.integers(0, 2, size=n).astype(bool)
-        yield mus, cuts, swap, shifts, False
 
 
 def _spec_arrays(spec: NetworkSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -664,28 +613,29 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
                   certify_trials: int = 8) -> DofBound:
     """Best bound over circulant plans with contiguous cooperation groups.
 
-    Walks one stream of candidates (``_candidates``): for each uniform
-    mu <= mu_max the offset-class shift tables with all per-user
-    contiguous cuts in both group orientations, then up to ``2 * budget``
-    seeded random full shift tables.  Candidates are screened
-    cheapest-first.  A floor that holds for every shift table
+    Walks the candidates in two phases.  First, for each uniform
+    mu <= mu_max, the offset-class shift tables (``_offset_class_shifts``)
+    with every per-user contiguous cut in both group orientations, as many
+    tables at a time as fit in ``_BATCH`` rows.  Then up to ``2 * budget``
+    seeded random full shift tables with 2 <= mu <= mu_max, drawn
+    ``_CHUNK`` rows at a time.  A floor that holds for every shift table
     (``_potential_floors``, which gives the proof) drops the rows that
     cannot beat the current best before anything else is computed; it
     depends only on (mu, n1), so ``_FloorTable`` computes it once for
-    every (mu, n1) before the walk, and both phases read it there.  The
-    structural rank cap, computed on integer arrays by
-    ``candidate_potentials``, then gives each remaining row a potential
-    (best value it could still reach), and only rows whose potential beats
-    the current best are built as plans and pay for a rank evaluation over
-    2**61-1.  Potentials are scored in batches: a random chunk's live rows
-    of every mu in one call, and for one mu the live rows of as many
-    offset-class tables as fit in ``_BATCH`` rows.  A row scored ahead is
-    tested against the best when its table's turn comes; if its floor no
-    longer beats the best, neither does its potential.  Offset-class
-    candidates are walked by (potential, partition), random ones in draw
-    order.  The walk of a mu ends once its least floor cannot beat the
-    best, and no random chunk is drawn once no mu in 2..mu_max can win.
-    None of this changes the rows that are evaluated or their order.
+    every (mu, n1) before the walk, and both phases read it there.  Both
+    phases hand the remaining rows to one step, ``rank``: the structural
+    rank cap, computed on integer arrays by ``candidate_potentials``,
+    gives each row a potential (best value it could still reach), and only
+    rows whose potential beats the current best are built as plans and
+    pay for a rank evaluation over 2**61-1.  They are walked by (group,
+    potential, partition), the group being a row's table within its batch
+    in the offset-class phase and its draw index in the random phase.
+    Each row is tested against the best again when its turn comes, so the
+    checks that end a phase early change nothing: the walk of a mu ends,
+    between batches, once its least floor cannot beat the best (if a row's
+    floor no longer beats the best, neither does its potential), and no
+    random chunk is drawn once no mu in 2..mu_max can win.  None of this
+    changes the rows that are evaluated or their order.
     ``budget`` bounds the work: at most ``budget`` rank evaluations (memo
     hits are free) and at most ``2 * budget`` random candidates scored.
     The winner is re-certified at ``certify_trials``.  Ties break
@@ -708,7 +658,6 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     best_key = best_plan = None  # best_key = (value, mu, plan encoding)
     evals = 0
     rank_memo: dict = {}
-    random_mus = np.arange(2, mu_max + 1)
 
     def beats_best(potential, mu):
         """Whether potential / mu is below the best value; broadcasts over arrays."""
@@ -716,25 +665,20 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
             return np.ones_like(potential, dtype=bool)
         return potential * best_key[0].denominator < best_key[0].numerator * mu
 
-    def draw_more():
-        """Whether budget is left and some mu in 2..mu_max can still beat the best."""
-        return evals < budget and bool(beats_best(floors.least[random_mus], random_mus).any())
-
-    def winners(potentials, live, mus, cuts, swap):
-        """Rows (potential, mu, partition, n) of ``live`` whose potential beats the best."""
-        keep = beats_best(potentials, mus[live])
-        return [(int(p), int(mus[n]), _oriented_partition(mus[n], cuts[n], swap[n]), n)
-                for p, n in zip(potentials[keep], live[keep])]
-
-    def rank(rows, shifts_of):
-        """Rank rows in order while budget lasts; row n has shift table ``shifts_of(n)``."""
+    def rank(mus, shifts, cuts, swap, group):
+        """Score rows, then rank those that beat the best by (group, potential, mu, partition)."""
         nonlocal evals, best_key, best_plan
-        for potential, mu, partition, n in rows:
+        potentials = candidate_potentials(spec, mus, shifts, cuts, swap, arrays)
+        keep = np.flatnonzero(beats_best(potentials, mus))
+        rows = sorted((g, p, mu, _oriented_partition(mu, cuts[n], swap[n]), n)
+                      for g, p, mu, n in zip(group[keep].tolist(), potentials[keep].tolist(),
+                                             mus[keep].tolist(), keep.tolist()))
+        for _, potential, mu, partition, n in rows:
             if evals >= budget:
                 return
             if not beats_best(potential, mu):
                 continue
-            plan = ReplicationPlan.from_shifts([mu] * K, shifts_of(n), partition)
+            plan = ReplicationPlan.from_shifts([mu] * K, shifts[n].tolist(), partition)
             coop = cooperate(build_replicated(spec, plan), plan.partition)
             key = (coop.pattern.row_sizes, coop.pattern.col_sizes,
                    tuple(sorted(coop.pattern.entries.items())))
@@ -748,33 +692,36 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
             if best_key is None or cand_key < best_key:
                 best_key, best_plan = cand_key, plan
 
-    for mus, cuts, swap, tables, ranked in _candidates(K, mu_max, budget, seed, draw_more):
-        if evals >= budget:
-            break
-        row_floors = floors.lookup(mus, cuts, swap)
-        if not ranked:
-            live = np.flatnonzero(beats_best(row_floors, mus))
-            if len(live):
-                potentials = candidate_potentials(spec, mus[live], tables[live], cuts[live],
-                                                  swap[live], arrays)
-                rank(winners(potentials, live, mus, cuts, swap), tables.__getitem__)
-            continue
-        mu = int(mus[0])
-        tables = iter(tables)
-        pending = ()  # (table, potentials of the rows ``live`` when scored) ahead
+    for mu in range(1, mu_max + 1):
+        one_side = _cut_rows(K, mu)
+        cuts = np.concatenate([one_side, one_side])
+        swap = np.repeat([False, True], len(one_side))
+        row_floors = floors.lookup(np.full(len(cuts), mu), cuts, swap)
+        tables = _offset_class_shifts(K, mu)
         while evals < budget and beats_best(floors.least[mu], mu):
-            if not pending:
-                live = np.flatnonzero(beats_best(row_floors, mu))
-                batch = list(islice(tables, max(1, _BATCH // len(live))))
-                if not batch:
-                    break
-                potentials = candidate_potentials(
-                    spec, mu, np.repeat(batch, len(live), axis=0),
-                    np.tile(cuts[live], (len(batch), 1)), np.tile(swap[live], len(batch)),
-                    arrays)
-                pending = deque(zip(batch, potentials.reshape(len(batch), len(live))))
-            table, potentials = pending.popleft()
-            rank(sorted(winners(potentials, live, mus, cuts, swap)), lambda n: table)
+            live = np.flatnonzero(beats_best(row_floors, mu))
+            batch = list(islice(tables, max(1, _BATCH // len(live))))
+            if not batch:
+                break
+            n = len(batch) * len(live)
+            rank(np.full(n, mu), np.repeat(batch, len(live), axis=0),
+                 np.tile(cuts[live], (len(batch), 1)), np.tile(swap[live], len(batch)),
+                 np.arange(n) // len(live))
+
+    rng = rng_from(seed, 0x5E)
+    links = ~np.eye(K, dtype=bool)
+    random_mus = np.arange(2, mu_max + 1)
+    for drawn in range(0, 2 * budget, _CHUNK):
+        if evals >= budget or not beats_best(floors.least[random_mus], random_mus).any():
+            break
+        n = min(_CHUNK, 2 * budget - drawn)
+        mus = rng.integers(2, mu_max + 1, size=n)
+        shifts = rng.integers(0, mus[:, None, None], size=(n, K, K)) * links
+        cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
+        swap = rng.integers(0, 2, size=n).astype(bool)
+        live = np.flatnonzero(beats_best(floors.lookup(mus, cuts, swap), mus))
+        if len(live):
+            rank(mus[live], shifts[live], cuts[live], swap[live], live)
 
     return outer_bound(spec, best_plan, trials=certify_trials, seed=seed)
 

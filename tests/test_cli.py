@@ -199,6 +199,7 @@ BAD_INPUTS = {
     "domain-bogus": (["sample", "--domain", "bogus"], None),
     "antennas-float": (["analyze"], _edit("spec", "M", 0, value=2.5)),
     "rank-bool": (["analyze"], _edit("spec", "D", 0, 1, value=True)),
+    "rank-on-diagonal": (["analyze"], _edit("spec", "D", 0, 0, value=3)),
     "scheme-nan": (["verify"], _edit("scheme", "users", 0, "V", 0, 0,
                                      value=[float("nan"), 0.0])),
     "scheme-short-v": (["verify"], _edit("scheme", "users", 0, "V", value=lambda v: v[:-1])),

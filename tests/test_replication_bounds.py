@@ -35,7 +35,7 @@ from halfcake.errors import (
 )
 from halfcake.replication_bounds import (
     DofBound,
-    _candidates,
+    _cut_rows,
     _FloorTable,
     _potential_floors,
     candidate_potentials,
@@ -392,6 +392,14 @@ def _all_shift_tables(K: int, mu: int) -> np.ndarray:
     return tables
 
 
+def _cut_groups(K: int, mu_max: int):
+    """``(mus, cuts, swap)`` for each mu <= mu_max: every per-user cut in both orientations."""
+    for mu in range(1, mu_max + 1):
+        one_side = _cut_rows(K, mu)
+        yield (np.full(2 * len(one_side), mu), np.concatenate([one_side, one_side]),
+               np.repeat([False, True], len(one_side)))
+
+
 def test_potential_floor_never_exceeds_potential():
     rng = np.random.default_rng(2025)
     exact = 0
@@ -425,7 +433,7 @@ def test_potential_floor_never_exceeds_potential():
         cross = {(j, i): int(rng.integers(0, min(M[i], N[j]) + 1)) * int(rng.integers(0, 3) > 0)
                  for j in range(K) for i in range(K) if i != j}
         spec = NetworkSpec.make(M, N, cross)
-        for mus, cuts, swap, _, _ in _candidates(K, 3, 1, 0, lambda: False):
+        for mus, cuts, swap in _cut_groups(K, 3):
             mu, rows = int(mus[0]), len(cuts)
             tables = _all_shift_tables(K, mu)
             least = candidate_potentials(
@@ -468,7 +476,7 @@ def test_mixed_mu_batches_match_per_mu_calls():
         # the floor table as the search builds it: one entry per (mu, n1)
         table = _FloorTable(spec, mu_max)
         assert len(table.floors) == sum((mu + 1) ** K for mu in range(1, mu_max + 1))
-        for g_mus, g_cuts, g_swap, _, _ in _candidates(K, mu_max, 1, t, lambda: False):
+        for g_mus, g_cuts, g_swap in _cut_groups(K, mu_max):
             group = _potential_floors(spec, g_mus, g_cuts, g_swap)
             assert (table.lookup(g_mus, g_cuts, g_swap) == group).all()
             assert table.least[g_mus[0]] == group.min()
@@ -528,6 +536,34 @@ def test_search_pinned_on_presets(name):
     assert (best.value, best.mu, best.rank) == (value, mu, rank)
     assert best.to_json()["plan"] == {"mu": [mu] * 3, "assign": {"shifts": shifts},
                                       "partition": partition}
+
+
+#: search_bounds(spec, mu_max=3) per preset: generic_rank_pattern calls (the
+#: final certification included), candidate_potentials calls, rows scored
+WORK_PINS = {
+    "counterexample": (3, 22, 389),
+    "example-2x3": (2, 1, 16),
+    "example-asym": (5, 2, 32),
+    "reduced-example": (3, 2, 24),
+    "theorem5": (2, 1, 16),
+    "theorem6": (5, 2, 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORK_PINS))
+def test_search_work_pinned_on_presets(monkeypatch, name):
+    from halfcake import replication_bounds
+
+    ranks, scored = [], []
+    rank_pattern = replication_bounds.generic_rank_pattern
+    potentials = replication_bounds.candidate_potentials
+    monkeypatch.setattr(replication_bounds, "generic_rank_pattern",
+                        lambda *a, **kw: ranks.append(1) or rank_pattern(*a, **kw))
+    monkeypatch.setattr(replication_bounds, "candidate_potentials",
+                        lambda spec, mu, shifts, cuts, swap, arrays=None:
+                        scored.append(len(cuts)) or potentials(spec, mu, shifts, cuts, swap, arrays))
+    search_bounds(presets.NETWORKS[name](), mu_max=3)
+    assert (len(ranks), len(scored), sum(scored)) == WORK_PINS[name]
 
 
 @pytest.mark.parametrize("kwargs", [{"mu_max": 0}, {"mu_max": 2, "budget": 0}])
