@@ -141,8 +141,8 @@ class VerificationReport:
         }
 
 
-def verify_scheme(ext: ExtendedRealization, scheme: LinearScheme, tol: float = 1e-8,
-                  rank_tol: float = 1e-9) -> VerificationReport:
+def verify_scheme(ext: ExtendedRealization, scheme: LinearScheme, tol: float = 1e-8
+                  ) -> VerificationReport:
     """Check zero interference and full desired rank on the extended channels.
 
     Residuals are relative Frobenius norms, at most 1, so ``tol`` must lie
@@ -175,7 +175,7 @@ def verify_scheme(ext: ExtendedRealization, scheme: LinearScheme, tol: float = 1
                 )
                 residuals[(j, i)] = float(np.linalg.norm(R) / scale) if scale != 0 else 0.0
         products = [scheme.U[k] @ ext.extended_block(k, k) @ scheme.V[k] for k in range(spec.K)]
-    desired = tuple(numerical_rank(P, rank_tol) if np.isfinite(P).all() else 0 for P in products)
+    desired = tuple(numerical_rank(P) if np.isfinite(P).all() else 0 for P in products)
     passed = all(r <= tol for r in residuals.values()) and desired == scheme.m
     return VerificationReport(residuals, desired, scheme.m, passed,
                               Fraction(sum(scheme.m), scheme.n), tol)
@@ -257,7 +257,7 @@ def ergodic_half_cake(ext: ExtendedRealization) -> LinearScheme:
     _require_pair_extension(ext)
     V, U = [], []
     for k in range(spec.K):
-        if numerical_rank(ext.desired_difference(k), ext.domain.tol) < spec.M[k]:
+        if numerical_rank(ext.desired_difference(k)) < spec.M[k]:
             raise DegenerateDesiredDifference(f"desired difference of user {k + 1} is singular")
         eye = np.eye(spec.M[k], dtype=complex)
         V.append(np.vstack([eye, eye]))

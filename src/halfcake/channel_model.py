@@ -30,8 +30,7 @@ from .exact_linalg import (
     ScalarDomain,
     _place_blocks,
     _sample_block,
-    numerical_rank,
-    rank_mod_p,
+    rank,
     rng_from,
 )
 
@@ -275,14 +274,13 @@ def decode_matrix(obj, domain: ScalarDomain, shape: Tuple[int, int]) -> np.ndarr
 
 
 def sample_generic(spec: NetworkSpec, seed: int = 0,
-                   domain: ScalarDomain = ScalarDomain.complex_default(),
-                   _salt: int = 0) -> ChannelRealization:
+                   domain: ScalarDomain = ScalarDomain.complex_default()) -> ChannelRealization:
     """Generic realization: cross blocks hit their rank budgets almost surely."""
     p = None if domain.is_complex else domain.p
     blocks = {}
     for j in range(spec.K):
         for i in range(spec.K):
-            rng = rng_from(seed, 0xC4, _salt, j, i)
+            rng = rng_from(seed, 0xC4, 0, j, i)  # the 0 keeps recorded realizations unchanged
             bound = min(spec.M[i], spec.N[j]) if i == j else spec.D[j][i]
             blocks[(j, i)] = _sample_block(rng, spec.N[j], spec.M[i], bound, p)
     return ChannelRealization(spec, domain, blocks, seed)
@@ -332,15 +330,14 @@ def canonical_realization(spec: NetworkSpec, cert,
     transmitter j's antennas likewise by the entries for receivers
     j+1, j+2, ...; matching segments are wired with identities.  Cross
     block (j, i) then has rank exactly cert[j][i] and every antenna is used
-    exactly once, so the stripped matrix has full rank.
+    exactly once, so the stripped matrix has full rank.  ``cert`` is a
+    ``ReducedRankCertificate``.
     """
-    from .rank_feasibility import ReducedRankCertificate, validate_certificate  # circular import
+    from .rank_feasibility import validate_certificate  # circular import
 
     if not spec.is_square:
         raise NotSquareCase("canonical construction is defined for the square case")
     K = spec.K
-    if not hasattr(cert, "reduced_ranks"):
-        cert = ReducedRankCertificate.from_rows(cert)
     Db = validate_certificate(spec, cert).reduced_ranks
 
     dtype = domain.dtype
@@ -472,7 +469,7 @@ def extend_ergodic_pair(spec: NetworkSpec, seed: int = 0,
             full = min(spec.M[k], spec.N[k])
             blk = _sample_block(rng, spec.N[k], spec.M[k], full, p)
             diff = base.blocks[(k, k)] - blk
-            if (numerical_rank(diff, domain.tol) if p is None else rank_mod_p(diff, p)) != full:
+            if rank(diff, domain) != full:
                 break
             blocks2[(k, k)] = blk
         else:

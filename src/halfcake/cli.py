@@ -149,7 +149,7 @@ def _reproduce_counterexample(seed, trials, tol) -> dict:
     report = {"target": "counterexample", "checks": []}
     verdict = half_cake_verdict(spec, seed=seed, trials=trials)
     ok = _expect(report, "no optimality certificate", verdict.status, "UNDECIDED")
-    ok &= _expect(report, "stripped generic rank", generic_rank(spec, "stripped", trials, seed), 23)
+    ok &= _expect(report, "stripped generic rank", generic_rank(spec, trials, seed), 23)
     ext = extend_ergodic_pair(spec, seed=seed)
     rep = verify_scheme(ext, counterexample_scheme(ext, seed=seed), tol=tol)
     ok &= _expect(report, "scheme verifies", rep.passed, True)
@@ -217,7 +217,7 @@ def _reproduce_theorem6(seed, trials, tol) -> dict:
 
 
 def _reproduce_lemma1(seed, trials, tol) -> dict:
-    run = lemma1_equivalence_run(count=200, seed=seed, trials=trials)
+    run = lemma1_equivalence_run(seed=seed, trials=trials)
     report = {"target": "lemma1-equiv", "checks": [], "summary": run}
     report["ok"] = _expect(report, "agreement rate", run["agreement_rate"], 1.0)
     return report

@@ -1,15 +1,15 @@
 """Rank, null-space, and randomized determinant kernels over two scalar domains.
 
 Structural questions (does a block matrix with given per-block rank budgets
-have full rank for generic entries?) are decided exactly over a large prime
-field: each trial instantiates the rank-bounded blocks with random factor
-products mod p and takes the exact elimination rank.  The maximum over
-trials never exceeds the generic rank, and reaches it with per-trial
-failure probability at most (total degree)/p, so a handful of trials is a
-certificate for desk-scale matrices.  The trials are a maximum, not a
-fixed count: the max flow through block rows, block rank budgets and
-block columns bounds the rank of every instantiation, and a trial that
-reaches it has found the generic rank exactly and ends the loop.
+have full rank for generic entries?) are decided exactly over one large
+prime field, p = 2**61 - 1: each trial instantiates the rank-bounded blocks
+with random factor products mod p and takes the exact elimination rank.
+The maximum over trials never exceeds the generic rank, and reaches it with
+per-trial failure probability at most (total degree)/p, so a handful of
+trials is a certificate for desk-scale matrices.  The trials are a
+maximum, not a fixed count: the max flow through block rows, block rank
+budgets and block columns bounds the rank of every instantiation, and a
+trial that reaches it has found the generic rank exactly and ends the loop.
 
 An exact rank mod p is one elimination on rows of Python ints, for any
 p, that follows the sparsity of its input: cooperation matrices of
@@ -22,8 +22,8 @@ or used as multipliers.  An exact product mod p is one object-array
 product of the residues, whose entries are Python ints.
 
 Numerical work on concrete complex realizations (null spaces for
-beamformer construction, decodability ranks) uses SVD with a relative
-singular-value tolerance.
+beamformer construction, decodability ranks) uses SVD with one relative
+singular-value tolerance, ``RANK_TOL``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ import numpy as np
 from .errors import InvalidArgument, NotSquare
 
 MERSENNE61 = (1 << 61) - 1
+
+#: singular values at most this times the largest one count as zero
+RANK_TOL = 1e-9
 
 
 def seed_key(*parts) -> tuple:
@@ -100,26 +103,22 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class ScalarDomain:
-    """Scalar domain tag: complex floats with tolerance, or a prime field."""
+    """Scalar domain tag: complex floats (ranks at ``RANK_TOL``), or a prime field."""
 
     kind: str  # "complex" or "prime"
-    tol: float = 1e-9
     p: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind == "complex":
-            if not self.tol > 0:
-                raise InvalidArgument("complex domain needs a positive tolerance")
-        elif self.kind == "prime":
+        if self.kind == "prime":
             # residues are drawn and stored as int64
             if self.p is None or not (1 << 32) < self.p < (1 << 63) or not is_prime(self.p):
                 raise InvalidArgument(f"prime domain needs a prime 2**32 < p < 2**63, got {self.p}")
-        else:
+        elif self.kind != "complex":
             raise InvalidArgument(f"unknown scalar domain kind {self.kind!r}")
 
     @classmethod
-    def complex_default(cls, tol: float = 1e-9) -> "ScalarDomain":
-        return cls("complex", tol=tol)
+    def complex_default(cls) -> "ScalarDomain":
+        return cls("complex")
 
     @classmethod
     def prime_default(cls, p: int = MERSENNE61) -> "ScalarDomain":
@@ -217,23 +216,23 @@ def matmul_mod_p(A, B, p: int = MERSENNE61) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def numerical_rank(mat, tol: float = 1e-9) -> int:
-    """Count of singular values above tol times the largest one."""
+def numerical_rank(mat) -> int:
+    """Count of singular values above ``RANK_TOL`` times the largest one."""
     A = np.asarray(mat)
     if A.ndim != 2 or 0 in A.shape:
         return 0
     s = np.linalg.svd(A, compute_uv=False)  # descending; all-zero s counts 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 def rank(mat, domain: ScalarDomain) -> int:
     """Rank in the given domain: exact elimination or SVD thresholding."""
     if domain.is_complex:
-        return numerical_rank(mat, domain.tol)
+        return numerical_rank(mat)
     return rank_mod_p(mat, domain.p)
 
 
-def null_space_basis(mat, tol: float = 1e-9) -> np.ndarray:
+def null_space_basis(mat) -> np.ndarray:
     """Orthonormal basis (columns) of the right null space of a complex matrix."""
     A = np.asarray(mat, dtype=complex)
     if A.ndim != 2:
@@ -244,13 +243,13 @@ def null_space_basis(mat, tol: float = 1e-9) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    r = int(np.count_nonzero(s > tol * s[0]))
+    r = int(np.count_nonzero(s > RANK_TOL * s[0]))
     return vh[r:].conj().T
 
 
-def left_null_space_basis(mat, tol: float = 1e-9) -> np.ndarray:
+def left_null_space_basis(mat) -> np.ndarray:
     """Orthonormal rows u with u @ mat = 0."""
-    return null_space_basis(np.asarray(mat, dtype=complex).conj().T, tol).conj().T
+    return null_space_basis(np.asarray(mat, dtype=complex).conj().T).conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +405,9 @@ def instantiate_pattern(spec, pattern: BlockPattern, rng, p: int = MERSENNE61) -
     return _place_blocks(pattern, sampled, np.int64)
 
 
-def generic_rank_pattern(spec, pattern: BlockPattern, trials: int = 8, seed: int = 0,
-                         p: int = MERSENNE61) -> int:
-    """Generic rank of a block pattern: max exact rank over at most ``trials``
-    seeded trials.
+def generic_rank_pattern(spec, pattern: BlockPattern, trials: int = 8, seed: int = 0) -> int:
+    """Generic rank of a block pattern: max exact rank mod 2**61 - 1 over at
+    most ``trials`` seeded trials.
 
     No trial's rank exceeds ``pattern.flow_cap(spec)``, so a trial that
     reaches it has the generic rank, exactly, and ends the loop.  The flow
@@ -423,7 +421,7 @@ def generic_rank_pattern(spec, pattern: BlockPattern, trials: int = 8, seed: int
     best = 0
     for t in range(trials):
         rng = rng_from(seed, 0x6C, t)
-        best = max(best, rank_mod_p(instantiate_pattern(spec, pattern, rng, p), p))
+        best = max(best, rank_mod_p(instantiate_pattern(spec, pattern, rng)))
         if best < cap and not tight and t + 1 < trials:
             cap, tight = pattern.flow_cap(spec), True
         if best >= cap:
@@ -431,23 +429,16 @@ def generic_rank_pattern(spec, pattern: BlockPattern, trials: int = 8, seed: int
     return best
 
 
-def spec_pattern(spec, shape="stripped") -> BlockPattern:
-    """K x K block pattern for a network: 'full', 'stripped', or a mask of (j, i) pairs."""
+def spec_pattern(spec) -> BlockPattern:
+    """K x K block pattern of a network's stripped matrix: every nonzero cross block."""
     K = spec.K
-    if shape == "full":
-        mask = {(j, i) for j in range(K) for i in range(K)}
-    elif shape == "stripped":
-        mask = {(j, i) for j in range(K) for i in range(K) if i != j}
-    else:
-        mask = {(int(j), int(i)) for (j, i) in shape}
-    entries = {(j, i): (j, i) for (j, i) in mask if _block_rank_bound(spec, j, i) > 0}
+    entries = {(j, i): (j, i) for j in range(K) for i in range(K) if i != j and spec.D[j][i] > 0}
     return BlockPattern(tuple(spec.N), tuple(spec.M), entries)
 
 
-def generic_rank(spec, shape="stripped", trials: int = 8, seed: int = 0,
-                 p: int = MERSENNE61) -> int:
-    """Generic rank of the (full / stripped / masked) overall channel matrix."""
-    return generic_rank_pattern(spec, spec_pattern(spec, shape), trials, seed, p)
+def generic_rank(spec, trials: int = 8, seed: int = 0) -> int:
+    """Generic rank of the stripped overall channel matrix (desired blocks zeroed)."""
+    return generic_rank_pattern(spec, spec_pattern(spec), trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +455,11 @@ class StructuredMatrix:
     """
 
     spec: object
-    p: int
     factors: dict  # (j, i) -> (V: N_j x D_ji, U: D_ji x M_i) int64 residue arrays
     zeroed: set = field(default_factory=set)
 
     @classmethod
-    def from_spec(cls, spec, seed: int = 0, p: int = MERSENNE61) -> "StructuredMatrix":
+    def from_spec(cls, spec, seed: int = 0) -> "StructuredMatrix":
         factors = {}
         for j in range(spec.K):
             for i in range(spec.K):
@@ -479,10 +469,10 @@ class StructuredMatrix:
                 if d == 0:
                     continue
                 rng = rng_from(seed, 0x5F, j, i)
-                V = rng.integers(0, p, size=(spec.N[j], d), dtype=np.int64)
-                U = rng.integers(0, p, size=(d, spec.M[i]), dtype=np.int64)
+                V = rng.integers(0, MERSENNE61, size=(spec.N[j], d), dtype=np.int64)
+                U = rng.integers(0, MERSENNE61, size=(d, spec.M[i]), dtype=np.int64)
                 factors[(j, i)] = (V, U)
-        return cls(spec=spec, p=p, factors=factors)
+        return cls(spec=spec, factors=factors)
 
     @property
     def is_square(self) -> bool:
@@ -498,15 +488,15 @@ class StructuredMatrix:
         return out
 
     def evaluate(self, rng, extra_zeroed=frozenset()) -> np.ndarray:
-        """Random evaluation of the free coefficients (int64 matrix of residues mod p)."""
-        spec, p = self.spec, self.p
+        """Random evaluation of the free coefficients (int64 matrix of residues mod 2**61 - 1)."""
+        spec = self.spec
         dead = self.zeroed | set(extra_zeroed)
         blocks = {}
         for (j, i), (V, U) in sorted(self.factors.items()):
             d = spec.D[j][i]
-            coeffs = rng.integers(0, p, size=d, dtype=np.int64)
+            coeffs = rng.integers(0, MERSENNE61, size=d, dtype=np.int64)
             coeffs[[m for m in range(d) if (j, i, m) in dead]] = 0
-            blocks[(j, i)] = matmul_mod_p(V, matmul_mod_p(np.diag(coeffs), U, p), p)
+            blocks[(j, i)] = matmul_mod_p(V, matmul_mod_p(np.diag(coeffs), U))
         pattern = BlockPattern(spec.N, spec.M, {key: key for key in blocks})
         return _place_blocks(pattern, blocks, np.int64)
 
@@ -524,6 +514,6 @@ def det_nonzero_with_var_zeroed(struct: StructuredMatrix, var, trials: int = 8,
     n = sum(struct.spec.M)
     for t in range(trials):
         rng = rng_from(seed, 0xD7, t)
-        if rank_mod_p(struct.evaluate(rng, extra_zeroed={tuple(var)}), struct.p) == n:
+        if rank_mod_p(struct.evaluate(rng, extra_zeroed={tuple(var)})) == n:
             return True
     return False

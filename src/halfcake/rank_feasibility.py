@@ -28,7 +28,6 @@ from .errors import (
     WrongK,
 )
 from .exact_linalg import (
-    MERSENNE61,
     StructuredMatrix,
     _max_flow,
     det_nonzero_with_var_zeroed,
@@ -349,8 +348,8 @@ def symmetric_allocation(K: int, M: int, D: int) -> ReducedRankCertificate:
 # ---------------------------------------------------------------------------
 
 
-def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8,
-                        p: int = MERSENNE61) -> Optional[ReducedRankCertificate]:
+def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8
+                        ) -> Optional[ReducedRankCertificate]:
     """Extract a certificate by greedily zeroing rank-1 coefficients.
 
     Visits the coefficients in lexicographic (j, i, m) order and pins each
@@ -362,9 +361,9 @@ def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8,
     """
     if not spec.is_square:
         raise NotSquareCase("reduction is defined for the square case")
-    if generic_rank(spec, "stripped", trials=trials, seed=seed, p=p) != spec.M_sigma:
+    if generic_rank(spec, trials=trials, seed=seed) != spec.M_sigma:
         return None
-    struct = StructuredMatrix.from_spec(spec, seed=seed, p=p)
+    struct = StructuredMatrix.from_spec(spec, seed=seed)
     for idx, var in enumerate(struct.variables()):
         if det_nonzero_with_var_zeroed(struct, var, trials=trials, seed=(seed, 0xA1, idx)):
             struct.zeroed.add(var)
@@ -384,21 +383,22 @@ def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8,
 # ---------------------------------------------------------------------------
 
 
-def lemma1_equivalence_run(count: int = 200, seed: int = 0, trials: int = 8,
-                           K_max: int = 4, M_max: int = 5) -> dict:
-    """Flow feasibility vs. generic full rank of the stripped matrix, over random specs.
+def lemma1_equivalence_run(seed: int = 0, trials: int = 8) -> dict:
+    """Flow feasibility vs. generic full rank of the stripped matrix, over 200
+    random square specs of 2 to 4 users with 1 to 5 antennas each.
 
     The two must agree on every instance; any disagreement is returned with
     its seed for inspection.
     """
     from .channel_model import random_square_spec
 
+    count = 200
     disagreements = []
     feasible_count = 0
     for t in range(count):
-        spec = random_square_spec((seed, t), K_max=K_max, M_max=M_max)
+        spec = random_square_spec((seed, t))
         flow_ok = reduced_rank_feasible(spec) is not None
-        rank_ok = generic_rank(spec, "stripped", trials=trials, seed=(seed, t)) == spec.M_sigma
+        rank_ok = generic_rank(spec, trials=trials, seed=(seed, t)) == spec.M_sigma
         feasible_count += flow_ok
         if flow_ok != rank_ok:
             disagreements.append({"seed": t, "spec": spec.to_json(),

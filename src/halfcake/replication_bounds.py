@@ -38,12 +38,10 @@ from .errors import (
     SearchTooLarge,
 )
 from .exact_linalg import (
-    MERSENNE61,
     BlockPattern,
     _place_blocks,
     generic_rank_pattern,
-    numerical_rank,
-    rank_mod_p,
+    rank,
     rng_from,
 )
 
@@ -151,8 +149,10 @@ class ReplicationPlan:
             raw = obj["assign"]
             shifts = table = None
             if isinstance(raw, dict) and "shifts" in raw:
-                shifts = [[0 if v is None else _json_int(v, "shifts") for v in row]
-                          for row in raw["shifts"]]
+                shifts = [[v if i == j else _json_int(v, "shifts") for i, v in enumerate(row)]
+                          for j, row in enumerate(raw["shifts"])]
+                if any(row[j] is not None for j, row in enumerate(shifts) if j < len(row)):
+                    raise BadShape("shifts: a desired link has no shift; the diagonal must be null")
             elif isinstance(raw, dict) and "table" in raw:
                 table = {
                     (_json_int(j, "table") - 1, _json_int(b, "table") - 1,
@@ -353,29 +353,27 @@ class DofBound:
         }
 
 
-def _coop_rank(spec, plan: ReplicationPlan, trials, seed, p,
+def _coop_rank(spec, plan: ReplicationPlan, trials, seed,
                realization: Optional[ChannelRealization]
                ) -> Tuple[CooperativeChannel, int, str]:
     """Cooperation channel of ``plan`` and the rank of its cross matrix, with the method."""
     coop = cooperate(build_replicated(spec, plan), plan.partition)
     if realization is not None:
-        mat = coop.instantiate(realization)
-        if realization.domain.is_complex:
-            return coop, numerical_rank(mat, realization.domain.tol), "realized-complex"
-        return coop, rank_mod_p(mat, realization.domain.p), "realized-prime"
-    r = generic_rank_pattern(spec, coop.pattern, trials=trials, seed=seed, p=p)
+        domain = realization.domain
+        method = "realized-complex" if domain.is_complex else "realized-prime"
+        return coop, rank(coop.instantiate(realization), domain), method
+    r = generic_rank_pattern(spec, coop.pattern, trials=trials, seed=seed)
     return coop, r, f"generic-prime-field(trials={trials})"
 
 
 def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed: int = 0,
-                realization: Optional[ChannelRealization] = None,
-                p: int = MERSENNE61) -> DofBound:
+                realization: Optional[ChannelRealization] = None) -> DofBound:
     """Sum-DoF outer bound (Mbar1 + Nbar2 - rank) / mu for a uniform plan."""
     mu = plan.uniform_mu
     if mu is None:
         raise NonUniformMu("sum-DoF bound needs uniform replica counts; "
                            "use weighted_dof_bound for weighted statements")
-    coop, rank_val, method = _coop_rank(spec, plan, trials, seed, p, realization)
+    coop, rank_val, method = _coop_rank(spec, plan, trials, seed, realization)
     value = Fraction(coop.Mbar1 + coop.Nbar2 - rank_val, mu)
     return DofBound(value, mu, rank_val, coop.Mbar1, coop.Nbar2, plan, method)
 
@@ -409,14 +407,14 @@ class WeightedBoundStatement:
         }
 
 
-def weighted_dof_bound(spec: NetworkSpec, mu: Sequence[int], plan: ReplicationPlan,
-                       trials: int = 8, seed: int = 0,
-                       realization: Optional[ChannelRealization] = None,
-                       p: int = MERSENNE61) -> WeightedBoundStatement:
-    """Weighted-sum DoF statement from one replicated network after cooperation."""
-    if tuple(mu) != plan.mu:
-        raise PlanViolatesDefinition1("weight vector disagrees with the plan's replica counts")
-    coop, rank_val, method = _coop_rank(spec, plan, trials, seed, p, realization)
+def weighted_dof_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed: int = 0,
+                       realization: Optional[ChannelRealization] = None
+                       ) -> WeightedBoundStatement:
+    """Weighted-sum DoF statement from one replicated network after cooperation.
+
+    The weights are the plan's replica counts ``plan.mu``.
+    """
+    coop, rank_val, method = _coop_rank(spec, plan, trials, seed, realization)
     rhs = coop.Mbar1 + coop.Nbar2 - rank_val
     return WeightedBoundStatement(plan.mu, rhs, rank_val, coop.Mbar1, coop.Nbar2, plan, method)
 
@@ -466,7 +464,7 @@ def _spec_arrays(spec: NetworkSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.array(spec.M, dtype=np.int64), np.array(spec.N, dtype=np.int64), D
 
 
-def candidate_potentials(spec: NetworkSpec, mu, shifts, cuts, swap, arrays=None) -> np.ndarray:
+def candidate_potentials(spec: NetworkSpec, mu, shifts, cuts, swap) -> np.ndarray:
     """Mbar1 + Nbar2 - structural rank cap for a batch of circulant candidates.
 
     Row n is the plan with uniform replica count ``mu`` (``mu[n]`` if
@@ -483,10 +481,9 @@ def candidate_potentials(spec: NetworkSpec, mu, shifts, cuts, swap, arrays=None)
     when (a < cuts[n][i]) != swap[n], so membership of a shifted copy is one
     comparison, with no gather.  Rows are scored ``_BATCH`` at a
     time, each with its copies padded up to the largest mu among them; a
-    padded copy sits in neither group, so it adds nothing.  ``arrays`` is
-    ``_spec_arrays(spec)``, built once by a caller that scores many batches.
+    padded copy sits in neither group, so it adds nothing.
     """
-    M, N, D = _spec_arrays(spec) if arrays is None else arrays
+    M, N, D = _spec_arrays(spec)
     D = D[None, :, None, :]
     shifts, cuts, swap = np.asarray(shifts), np.asarray(cuts), np.asarray(swap, dtype=bool)
     mus = np.broadcast_to(mu, len(cuts))
@@ -522,7 +519,7 @@ def _group_copies(mus, cuts, swap) -> Tuple[np.ndarray, np.ndarray]:
     return n1, mus - n1
 
 
-def _potential_floors(spec: NetworkSpec, mus, cuts, swap, arrays=None) -> np.ndarray:
+def _potential_floors(spec: NetworkSpec, mus, cuts, swap) -> np.ndarray:
     """Lower bound on ``candidate_potentials`` that holds for every shift table.
 
     Row n has n1 = copies of each user in group 1 and n2 = mus[n] - n1 in
@@ -550,10 +547,9 @@ def _potential_floors(spec: NetworkSpec, mus, cuts, swap, arrays=None) -> np.nda
     structural cap is at most min(sum of row bounds, sum of column bounds,
     Mbar1, Nbar2), and Mbar1 + Nbar2 minus that depends only on (mu, n1).
     With mu = 1 every copy sits on its user's side, no interferer is small,
-    and the floor is the potential.  ``arrays`` is ``_spec_arrays(spec)``,
-    as in ``candidate_potentials``.
+    and the floor is the potential.
     """
-    M, N, D = _spec_arrays(spec) if arrays is None else arrays
+    M, N, D = _spec_arrays(spec)
     n1, n2 = _group_copies(mus, cuts, swap)
     mbar1 = n1 @ M
     nbar2 = n2 @ N
@@ -589,13 +585,13 @@ class _FloorTable:
     ``least[mu]`` is the least floor of that mu.
     """
 
-    def __init__(self, spec: NetworkSpec, mu_max: int, arrays=None):
+    def __init__(self, spec: NetworkSpec, mu_max: int):
         self.starts = np.concatenate([[0, 0], np.cumsum(np.arange(2, mu_max + 2) ** spec.K)])
         parts = []
         for mu in range(1, mu_max + 1):
             n1 = _cut_rows(spec.K, mu)
             parts.append(_potential_floors(spec, np.full(len(n1), mu), n1,
-                                           np.zeros(len(n1), dtype=bool), arrays))
+                                           np.zeros(len(n1), dtype=bool)))
         self.floors = np.concatenate(parts)
         self.least = np.array([0] + [part.min() for part in parts])
 
@@ -653,8 +649,7 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
         if entries > MAX_FLOOR_ENTRIES:
             raise SearchTooLarge(f"a search over {K} users up to mu_max {mu_max} needs more "
                                  f"than {MAX_FLOOR_ENTRIES} (mu, cut) floor entries")
-    arrays = _spec_arrays(spec)
-    floors = _FloorTable(spec, mu_max, arrays)
+    floors = _FloorTable(spec, mu_max)
     best_key = best_plan = None  # best_key = (value, mu, plan encoding)
     evals = 0
     rank_memo: dict = {}
@@ -668,7 +663,7 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     def rank(mus, shifts, cuts, swap, group):
         """Score rows, then rank those that beat the best by (group, potential, mu, partition)."""
         nonlocal evals, best_key, best_plan
-        potentials = candidate_potentials(spec, mus, shifts, cuts, swap, arrays)
+        potentials = candidate_potentials(spec, mus, shifts, cuts, swap)
         keep = np.flatnonzero(beats_best(potentials, mus))
         rows = sorted((g, p, mu, _oriented_partition(mu, cuts[n], swap[n]), n)
                       for g, p, mu, n in zip(group[keep].tolist(), potentials[keep].tolist(),

@@ -61,7 +61,7 @@ def test_acceptance_1_counterexample_reproduction():
         verdict = half_cake_verdict(spec, seed=0, trials=8)
         assert verdict.status != "OPTIMAL_CERTIFIED"
         assert verdict.certificate is None
-        assert generic_rank(spec, "stripped", trials=8, seed=0) == 23
+        assert generic_rank(spec, trials=8, seed=0) == 23
         ext = extend_ergodic_pair(spec, seed=0)
         scheme = counterexample_scheme(ext, seed=0)
         report = verify_scheme(ext, scheme, tol=1e-8)
@@ -99,7 +99,7 @@ def test_acceptance_3_mixed_dimension_bound_and_scheme():
 
 def test_acceptance_4_flow_rank_equivalence():
     with _gate(4, "flow feasibility equals generic full rank, 200 specs", 60.0):
-        run = lemma1_equivalence_run(count=200, seed=0, trials=8, K_max=4, M_max=5)
+        run = lemma1_equivalence_run(seed=0, trials=8)
         assert run["disagreements"] == []
         assert run["agreement_rate"] == 1.0
 

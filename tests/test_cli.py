@@ -214,6 +214,8 @@ BAD_INPUTS = {
     "plan-mu-string": (["bound"], _edit("plan", "mu", 1, value="x")),
     "plan-mu-float": (["bound"], _edit("plan", "mu", 0, value=2.5)),
     "plan-shift-float": (["bound"], _edit("plan", "assign", "shifts", 0, 1, value=2.5)),
+    "plan-shift-on-diagonal": (["bound"], _edit("plan", "assign", "shifts", 0, 0, value=5)),
+    "plan-shift-null": (["bound"], _edit("plan", "assign", "shifts", 0, 1, value=None)),
     "plan-partition-float": (["bound"], _edit("plan", "partition", 0, 0, 0, value=1.0)),
     "plan-partition-not-pairs": (["bound"], _edit("plan", "partition", 0, 0, value=[1, 1, 1])),
     "plan-mu-zero": (["bound"], _edit("plan", "mu", 0, value=0)),

@@ -30,6 +30,7 @@ from halfcake.exact_linalg import (
     generic_rank_pattern,
     instantiate_pattern,
     matmul_mod_p,
+    numerical_rank,
     rng_from,
     seed_key,
     spec_pattern,
@@ -102,8 +103,18 @@ def test_first_column_band_of_stripped_counterexample(counterexample_spec):
 
 def test_complex_rank_tolerance_is_relative():
     base = np.diag([1e6, 1e-1, 0.0])
-    assert rank(base, ScalarDomain.complex_default(tol=1e-9)) == 2
-    assert rank(1e-12 * base, ScalarDomain.complex_default(tol=1e-9)) == 2
+    assert rank(base, ScalarDomain.complex_default()) == 2
+    assert rank(1e-12 * base, ScalarDomain.complex_default()) == 2
+
+
+def test_complex_rank_and_null_spaces_share_one_threshold():
+    # singular values 2e-9 and 5e-10 sit either side of RANK_TOL = 1e-9 times the largest
+    A = np.diag([1, 2e-9, 5e-10]).astype(complex)
+    assert numerical_rank(A) == 2
+    assert rank(A, ScalarDomain.complex_default()) == 2
+    assert rank(1e-12 * A, ScalarDomain.complex_default()) == 2
+    assert null_space_basis(A).shape == (3, 1)
+    assert left_null_space_basis(A).shape == (1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +179,18 @@ def test_left_null_space_rows_annihilate():
 
 
 def test_generic_rank_counterexample_and_reduced(counterexample_spec, reduced_spec):
-    assert generic_rank(counterexample_spec, "stripped", trials=8, seed=0) == 23
-    assert generic_rank(reduced_spec, "stripped", trials=8, seed=0) == 24
+    assert generic_rank(counterexample_spec, trials=8, seed=0) == 23
+    assert generic_rank(reduced_spec, trials=8, seed=0) == 24
 
 
 def test_generic_rank_zero_cross():
     spec = NetworkSpec.square((2, 3), default="zero")
-    assert generic_rank(spec, "stripped", trials=4, seed=0) == 0
-    assert generic_rank(spec, "full", trials=4, seed=0) == 5
+    assert generic_rank(spec, trials=4, seed=0) == 0
 
 
 def test_generic_rank_monotone_in_trials(reduced_spec):
-    r1 = generic_rank(reduced_spec, "stripped", trials=1, seed=4)
-    r8 = generic_rank(reduced_spec, "stripped", trials=8, seed=4)
+    r1 = generic_rank(reduced_spec, trials=1, seed=4)
+    r8 = generic_rank(reduced_spec, trials=8, seed=4)
     assert r1 <= r8
 
 
@@ -196,19 +206,19 @@ def test_generic_rank_monotone_under_rank_increase():
                 cap = min(spec.M[i], spec.M[j])
                 raised[(j, i)] = int(min(cap, spec.D[j][i] + rng.integers(0, 2)))
         bigger = NetworkSpec.square(spec.M, raised)
-        assert generic_rank(spec, "stripped", 4, t) <= generic_rank(bigger, "stripped", 4, t)
+        assert generic_rank(spec, 4, t) <= generic_rank(bigger, 4, t)
 
 
 def test_generic_rank_structural_cap():
     for t in range(20):
         spec = random_square_spec((77, t), K_max=4, M_max=5)
-        cap = spec_pattern(spec, "stripped").structural_cap(spec)
+        cap = spec_pattern(spec).structural_cap(spec)
         by_cols = sum(min(spec.M[i], sum(spec.D[j][i] for j in range(spec.K) if j != i))
                       for i in range(spec.K))
         by_rows = sum(min(spec.N[j], sum(spec.D[j][i] for i in range(spec.K) if i != j))
                       for j in range(spec.K))
         assert cap <= min(by_cols, by_rows)
-        assert generic_rank(spec, "stripped", trials=4, seed=t) <= cap
+        assert generic_rank(spec, trials=4, seed=t) <= cap
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +256,6 @@ def test_scalar_domain_validation():
         ScalarDomain("prime", p=101)  # too small
     with pytest.raises(ValueError):
         ScalarDomain("prime", p=(1 << 61) - 3)  # not prime
-    with pytest.raises(ValueError):
-        ScalarDomain("complex", tol=0.0)
     assert ScalarDomain.from_tag("prime:2305843009213693951").p == MERSENNE61
     assert ScalarDomain.from_tag("complex").is_complex
 
@@ -482,7 +490,7 @@ def _flow_cap_cases():
         cases.append((spec, _circulant_pattern(spec, np.random.default_rng(t), 1, 4)))
     for t in range(40):
         spec = random_square_spec((t, 0xF2), K_min=2, K_max=5, M_max=6)
-        cases.append((spec, spec_pattern(spec, "stripped")))
+        cases.append((spec, spec_pattern(spec)))
     return cases
 
 
@@ -503,7 +511,7 @@ def test_flow_cap_bounds_every_trial_and_ends_trials_exactly():
 def test_flow_cap_of_stripped_pattern_is_lemma1_max_flow():
     for t in range(60):
         spec = random_square_spec((t, 0xF3), K_min=2, K_max=6, M_max=6)
-        assert (spec_pattern(spec, "stripped").flow_cap(spec)
+        assert (spec_pattern(spec).flow_cap(spec)
                 == feasibility_evidence(spec)["max_flow"])
 
 

@@ -299,7 +299,7 @@ def test_outer_bound_pinned_on_large_circulant_plans(case):
 def test_weighted_single_user_vs_rest():
     spec = NetworkSpec.square((5, 3, 2), {(1, 0): 3, (2, 0): 2}, default="zero")
     plan = presets.boundary_sum_plan()
-    stmt = weighted_dof_bound(spec, (1, 1, 1), plan, trials=6, seed=0)
+    stmt = weighted_dof_bound(spec, plan, trials=6, seed=0)
     # rhs = M_1 + (N_2 + N_3) - rank([H_21; H_31])
     assert stmt.rhs == 5 + 5 - 5
     assert stmt.statement() == "1*d_1 + 1*d_2 + 1*d_3 <= 5"
@@ -307,7 +307,7 @@ def test_weighted_single_user_vs_rest():
 
 def test_weighted_matches_uniform_bound(reduced_spec):
     plan = ReplicationPlan.mirror(3)
-    stmt = weighted_dof_bound(reduced_spec, (2, 2, 2), plan, trials=6, seed=0)
+    stmt = weighted_dof_bound(reduced_spec, plan, trials=6, seed=0)
     bound = outer_bound(reduced_spec, plan, trials=6, seed=0)
     assert Fraction(stmt.rhs, 2) == bound.value
 
@@ -318,7 +318,7 @@ def test_weighted_accepts_nonuniform_plan():
     shifts = [[1 if i != j else 0 for i in range(3)] for j in range(3)]
     plan = ReplicationPlan.from_shifts(mu, shifts,
                                        contiguous_partition(mu, (2, 1, 0)))
-    stmt = weighted_dof_bound(spec, mu, plan, trials=4, seed=0)
+    stmt = weighted_dof_bound(spec, plan, trials=4, seed=0)
     assert stmt.mu == mu and stmt.rhs >= 0
 
 
@@ -560,8 +560,8 @@ def test_search_work_pinned_on_presets(monkeypatch, name):
     monkeypatch.setattr(replication_bounds, "generic_rank_pattern",
                         lambda *a, **kw: ranks.append(1) or rank_pattern(*a, **kw))
     monkeypatch.setattr(replication_bounds, "candidate_potentials",
-                        lambda spec, mu, shifts, cuts, swap, arrays=None:
-                        scored.append(len(cuts)) or potentials(spec, mu, shifts, cuts, swap, arrays))
+                        lambda spec, mu, shifts, cuts, swap:
+                        scored.append(len(cuts)) or potentials(spec, mu, shifts, cuts, swap))
     search_bounds(presets.NETWORKS[name](), mu_max=3)
     assert (len(ranks), len(scored), sum(scored)) == WORK_PINS[name]
 
