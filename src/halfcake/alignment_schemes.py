@@ -419,9 +419,10 @@ def example2_scheme(ext: ExtendedRealization, seed: int = 0) -> LinearScheme:
     return LinearScheme(1, (7, 3, 2), (V1, V2, V3), (U1, U2, U3))
 
 
-def best_exceeding_scheme(ext: ExtendedRealization, seed: int = 0
+def best_exceeding_scheme(ext: ExtendedRealization, seed: int = 0, tol: float = 1e-8
                           ) -> Optional[Tuple[LinearScheme, str]]:
-    """First verified construction beating half the cake, trying all relabelings.
+    """First construction beating half the cake that verifies at ``tol``,
+    trying all relabelings.
 
     The aligned-pair condition does not need symmetric ranks, so this also
     covers asymmetric specs; returns None when neither family applies.
@@ -434,7 +435,7 @@ def best_exceeding_scheme(ext: ExtendedRealization, seed: int = 0
             scheme = _build(ext, perm, family, seed)
         except HalfCakeError:
             continue
-        if verify_scheme(ext, scheme).passed:
+        if verify_scheme(ext, scheme, tol=tol).passed:
             return scheme, family
     return None
 

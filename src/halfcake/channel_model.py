@@ -291,29 +291,14 @@ def sample_generic(spec: NetworkSpec, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BlockMatrix:
-    """Dense matrix carrying its block partition sizes."""
-
-    row_sizes: Tuple[int, ...]
-    col_sizes: Tuple[int, ...]
-    data: np.ndarray
-    domain: ScalarDomain
-
-    def __post_init__(self):
-        if self.data.shape != (sum(self.row_sizes), sum(self.col_sizes)):
-            raise BadShape("dense data disagrees with the block partition")
-
-
-def assemble(real: ChannelRealization, zero_desired: bool = False) -> BlockMatrix:
+def assemble(real: ChannelRealization, zero_desired: bool = False) -> np.ndarray:
     """Stack all blocks into the overall N_sigma x M_sigma matrix."""
     spec = real.spec
     entries = {(j, i): (j, i) for (j, i) in real.blocks if not (zero_desired and i == j)}
-    data = _place_blocks(BlockPattern(spec.N, spec.M, entries), real.blocks, real.domain.dtype)
-    return BlockMatrix(tuple(spec.N), tuple(spec.M), data, real.domain)
+    return _place_blocks(BlockPattern(spec.N, spec.M, entries), real.blocks, real.domain.dtype)
 
 
-def strip_desired(real: ChannelRealization) -> BlockMatrix:
+def strip_desired(real: ChannelRealization) -> np.ndarray:
     """Overall matrix with the desired (diagonal) blocks replaced by zeros."""
     if not real.spec.is_square:
         raise NotSquareCase("stripped matrix is defined for the square case M == N")

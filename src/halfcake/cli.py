@@ -82,7 +82,7 @@ def cmd_analyze(args) -> int:
         rep = verify_scheme(ext, scheme, tol=args.tol)
         achiev["ergodic"] = {"sum_dof": _json_frac(rep.sum_dof), "passed": rep.passed,
                              "max_residual": rep.max_residual}
-        exceeding = best_exceeding_scheme(ext, seed=args.seed)
+        exceeding = best_exceeding_scheme(ext, seed=args.seed, tol=args.tol)
         if exceeding is not None:
             sch, family = exceeding
             rep2 = verify_scheme(ext, sch, tol=args.tol)

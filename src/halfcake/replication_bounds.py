@@ -88,9 +88,6 @@ class ReplicationPlan:
     def uniform_mu(self) -> Optional[int]:
         return self.mu[0] if len(set(self.mu)) == 1 else None
 
-    def swapped(self) -> "ReplicationPlan":
-        return ReplicationPlan(self.mu, self.assign, (self.partition[1], self.partition[0]))
-
     def encoding(self) -> tuple:
         return (self.mu, tuple(sorted(self.assign.items())), self.partition)
 
@@ -225,7 +222,6 @@ class ReplicatedNetwork:
     """Replicas of every user of ``spec`` plus the source of every replica-pair block."""
 
     spec: NetworkSpec
-    plan: ReplicationPlan
     users: Tuple[Replica, ...]
     #: (rx index, tx index) into ``users`` -> original (j, i), absent means zero
     source: Dict[Tuple[int, int], Tuple[int, int]]
@@ -249,8 +245,6 @@ class ReplicatedNetwork:
 
 def build_replicated(spec: NetworkSpec, plan: ReplicationPlan) -> ReplicatedNetwork:
     """Wire the replicated network of a plan with one replica count per user of ``spec``."""
-    if plan.K != spec.K:
-        raise PlanViolatesDefinition1("plan user count disagrees with the spec")
     K = spec.K
     users = tuple((i, a) for i in range(K) for a in range(plan.mu[i]))
     idx = {u: t for t, u in enumerate(users)}
@@ -259,7 +253,7 @@ def build_replicated(spec: NetworkSpec, plan: ReplicationPlan) -> ReplicatedNetw
         source[(t, t)] = (i, i)
     for (j, beta, i), alpha in plan.assign.items():
         source[(idx[(j, beta)], idx[(i, alpha)])] = (j, i)
-    return ReplicatedNetwork(spec, plan, users, source)
+    return ReplicatedNetwork(spec, users, source)
 
 
 def realize_replicated(repnet: ReplicatedNetwork, real: ChannelRealization
@@ -282,9 +276,6 @@ def realize_replicated(repnet: ReplicatedNetwork, real: ChannelRealization
 class CooperativeChannel:
     """2-user channel after full intra-group cooperation."""
 
-    repnet: ReplicatedNetwork
-    group1: Tuple[Replica, ...]
-    group2: Tuple[Replica, ...]
     Mbar1: int
     Nbar1: int
     Mbar2: int
@@ -292,29 +283,26 @@ class CooperativeChannel:
     #: cross matrix from group-1 transmitters to group-2 receivers
     pattern: BlockPattern
 
-    def instantiate(self, real: ChannelRealization) -> np.ndarray:
-        """Dense group1-tx -> group2-rx matrix for a concrete realization."""
-        return _place_blocks(self.pattern, real.blocks, real.domain.dtype)
 
+def cooperate(spec: NetworkSpec, plan: ReplicationPlan) -> CooperativeChannel:
+    """Cooperation channel of ``plan``'s two groups, read straight from its wiring.
 
-def cooperate(repnet: ReplicatedNetwork,
-              partition: Tuple[Sequence[Replica], Sequence[Replica]]) -> CooperativeChannel:
-    partition = _normalize_partition(partition)
-    _check_partition(repnet.plan.mu, partition)
-    g1, g2 = partition
-    spec = repnet.spec
-    idx = {u: t for t, u in enumerate(repnet.users)}
-    entries = {}
-    for r, rx in enumerate(g2):
-        for c, tx in enumerate(g1):
-            src = repnet.source.get((idx[rx], idx[tx]))
-            if src is not None:
-                entries[(r, c)] = src
+    Receiver replica (j, beta) in group 2 hears transmitter replica
+    (i, assign[(j, beta, i)]); when that replica is in group 1, block (j, i)
+    sits at their row and column of the cross matrix.
+    """
+    if plan.K != spec.K:
+        raise PlanViolatesDefinition1("plan user count disagrees with the spec")
+    g1, g2 = plan.partition
+    rows = {rx: r for r, rx in enumerate(g2)}
+    cols = {tx: c for c, tx in enumerate(g1)}
+    entries = {(rows[(j, beta)], cols[(i, alpha)]): (j, i)
+               for (j, beta, i), alpha in plan.assign.items()
+               if (j, beta) in rows and (i, alpha) in cols}
     pattern = BlockPattern(
         tuple(spec.N[u] for u, _ in g2), tuple(spec.M[u] for u, _ in g1), entries
     )
     return CooperativeChannel(
-        repnet, g1, g2,
         Mbar1=sum(spec.M[u] for u, _ in g1),
         Nbar1=sum(spec.N[u] for u, _ in g1),
         Mbar2=sum(spec.M[u] for u, _ in g2),
@@ -353,19 +341,6 @@ class DofBound:
         }
 
 
-def _coop_rank(spec, plan: ReplicationPlan, trials, seed,
-               realization: Optional[ChannelRealization]
-               ) -> Tuple[CooperativeChannel, int, str]:
-    """Cooperation channel of ``plan`` and the rank of its cross matrix, with the method."""
-    coop = cooperate(build_replicated(spec, plan), plan.partition)
-    if realization is not None:
-        domain = realization.domain
-        method = "realized-complex" if domain.is_complex else "realized-prime"
-        return coop, rank(coop.instantiate(realization), domain), method
-    r = generic_rank_pattern(spec, coop.pattern, trials=trials, seed=seed)
-    return coop, r, f"generic-prime-field(trials={trials})"
-
-
 def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed: int = 0,
                 realization: Optional[ChannelRealization] = None) -> DofBound:
     """Sum-DoF outer bound (Mbar1 + Nbar2 - rank) / mu for a uniform plan."""
@@ -373,9 +348,9 @@ def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed:
     if mu is None:
         raise NonUniformMu("sum-DoF bound needs uniform replica counts; "
                            "use weighted_dof_bound for weighted statements")
-    coop, rank_val, method = _coop_rank(spec, plan, trials, seed, realization)
-    value = Fraction(coop.Mbar1 + coop.Nbar2 - rank_val, mu)
-    return DofBound(value, mu, rank_val, coop.Mbar1, coop.Nbar2, plan, method)
+    stmt = weighted_dof_bound(spec, plan, trials=trials, seed=seed, realization=realization)
+    return DofBound(Fraction(stmt.rhs, mu), mu, stmt.rank, stmt.Mbar1, stmt.Nbar2, plan,
+                    stmt.method)
 
 
 @dataclass(frozen=True)
@@ -414,7 +389,14 @@ def weighted_dof_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8
 
     The weights are the plan's replica counts ``plan.mu``.
     """
-    coop, rank_val, method = _coop_rank(spec, plan, trials, seed, realization)
+    coop = cooperate(spec, plan)
+    if realization is None:
+        rank_val = generic_rank_pattern(spec, coop.pattern, trials=trials, seed=seed)
+        method = f"generic-prime-field(trials={trials})"
+    else:
+        domain = realization.domain
+        rank_val = rank(_place_blocks(coop.pattern, realization.blocks, domain.dtype), domain)
+        method = "realized-complex" if domain.is_complex else "realized-prime"
     rhs = coop.Mbar1 + coop.Nbar2 - rank_val
     return WeightedBoundStatement(plan.mu, rhs, rank_val, coop.Mbar1, coop.Nbar2, plan, method)
 
@@ -471,10 +453,10 @@ def candidate_potentials(spec: NetworkSpec, mu, shifts, cuts, swap) -> np.ndarra
     ``mu`` is an array, so one call scores rows of mixed counts), shift
     table ``shifts[n]`` (K x K, diagonal ignored), contiguous cuts
     ``cuts[n]`` and, where ``swap[n]``, the two groups exchanged.  The
-    integers equal those of ``cooperate(build_replicated(spec, plan),
-    plan.partition)`` and its ``pattern.structural_cap(spec)``, without
-    building either: receiver copy (j, b) in group 2 hears transmitter copy
-    (i, (b + s_ji) % mu), so its row budget sums D[j][i] over the i whose
+    integers equal those of ``cooperate(spec, plan)`` and its
+    ``pattern.structural_cap(spec)``, without building either: receiver
+    copy (j, b) in group 2 hears transmitter copy (i, (b + s_ji) % mu),
+    so its row budget sums D[j][i] over the i whose
     copy is in group 1, and transmitter copy (i, a) in group 1 reaches
     receiver copy (j, (a - s_ji) % mu), so its column budget sums D[j][i]
     over the j whose copy is in group 2.  Copy a of user i is in group 1
@@ -674,7 +656,7 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
             if not beats_best(potential, mu):
                 continue
             plan = ReplicationPlan.from_shifts([mu] * K, shifts[n].tolist(), partition)
-            coop = cooperate(build_replicated(spec, plan), plan.partition)
+            coop = cooperate(spec, plan)
             key = (coop.pattern.row_sizes, coop.pattern.col_sizes,
                    tuple(sorted(coop.pattern.entries.items())))
             if key not in rank_memo:

@@ -128,11 +128,11 @@ def test_prime_sampling_hits_rank_budget_100_seeds(counterexample_spec):
 def test_strip_desired_equals_assemble_then_zero(reduced_spec):
     real = sample_generic(reduced_spec, seed=3)
     stripped = strip_desired(real)
-    full = assemble(real).data.copy()
+    full = assemble(real).copy()
     off = np.concatenate([[0], np.cumsum(reduced_spec.M)]).astype(int)
     for k in range(3):
         full[off[k]:off[k + 1], off[k]:off[k + 1]] = 0
-    assert np.array_equal(stripped.data, full)
+    assert np.array_equal(stripped, full)
 
 
 def test_strip_desired_requires_square(asym_spec):
@@ -144,15 +144,15 @@ def test_strip_desired_requires_square(asym_spec):
 def test_strip_zero_cross_ranks_is_zero():
     spec = NetworkSpec.square((2, 2), default="zero")
     real = sample_generic(spec, seed=0)
-    assert np.all(strip_desired(real).data == 0)
-    assert numerical_rank(strip_desired(real).data) == 0
+    assert np.all(strip_desired(real) == 0)
+    assert numerical_rank(strip_desired(real)) == 0
 
 
 def test_strip_full_small_network_has_full_rank():
     # cyclic reduced ranks of 1 saturate the sums, so the stripped matrix is full
     spec = NetworkSpec.square((2, 2, 2))
     real = sample_generic(spec, seed=2, domain=ScalarDomain.prime_default())
-    assert rank_mod_p(strip_desired(real).data, MERSENNE61) == 6
+    assert rank_mod_p(strip_desired(real), MERSENNE61) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +162,9 @@ def test_strip_full_small_network_has_full_rank():
 
 def _permutation_checks(real):
     stripped = strip_desired(real)
-    assert set(np.unique(stripped.data)) <= {0, 1}
-    assert np.all(stripped.data.sum(axis=0) == 1)
-    assert np.all(stripped.data.sum(axis=1) == 1)
+    assert set(np.unique(stripped)) <= {0, 1}
+    assert np.all(stripped.sum(axis=0) == 1)
+    assert np.all(stripped.sum(axis=1) == 1)
 
 
 def test_canonical_reduced_example(reduced_spec):
@@ -172,7 +172,7 @@ def test_canonical_reduced_example(reduced_spec):
         [[0, 8, 2], [4, 0, 4], [6, 0, 0]])
     real = canonical_realization(reduced_spec, cert)
     _permutation_checks(real)
-    assert rank_mod_p(strip_desired(real).data, MERSENNE61) == 24
+    assert rank_mod_p(strip_desired(real), MERSENNE61) == 24
     for j in range(3):
         for i in range(3):
             if i != j:
@@ -193,7 +193,7 @@ def test_canonical_from_chip_allocation():
     cert = greedy_chip_allocation(spec)
     real = canonical_realization(spec, cert)
     _permutation_checks(real)
-    assert rank_mod_p(strip_desired(real).data, MERSENNE61) == 10
+    assert rank_mod_p(strip_desired(real), MERSENNE61) == 10
 
 
 def test_canonical_rejects_bad_certificate(reduced_spec):

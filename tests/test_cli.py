@@ -34,6 +34,20 @@ def test_analyze_counterexample(tmp_path, counterexample_spec, capsys):
     assert report["achievability"]["exceeding"]["passed"] is True
 
 
+@pytest.mark.parametrize("tol", [None, "1e-18"])
+def test_analyze_reports_exceeding_scheme_only_if_it_passes(tmp_path, counterexample_spec, tol):
+    """The exceeding scheme is chosen at the tolerance it is reported at."""
+    spec_path = _write_spec(tmp_path, counterexample_spec)
+    out = tmp_path / "report.json"
+    argv = ["analyze", "--spec", spec_path, "--mu-max", "1", "--budget", "1", "--out", str(out)]
+    assert main(argv + (["--tol", tol] if tol else [])) == 0
+    report = _read(out)["achievability"]
+    if tol is None:
+        assert "exceeding" in report
+    if "exceeding" in report:
+        assert report["exceeding"]["passed"] is True
+
+
 def test_analyze_reduced_example(tmp_path, reduced_spec):
     spec_path = _write_spec(tmp_path, reduced_spec)
     out = tmp_path / "report.json"
@@ -225,6 +239,10 @@ BAD_INPUTS = {
                                                      value=lambda g: g + [[]])),
     # a partition of 4 replicas is rejected before 2 * 10**30 replicas are wired
     "plan-mu-huge": (["bound"], _edit("plan", "mu", value=[10 ** 30, 10 ** 30])),
+    "plan-users-mismatch": (["bound"], lambda blobs: blobs.update(plan=_plan_3_user_mirror())),
+    "mu-max-0": (["analyze", "--mu-max", "0"], None),
+    # --mu-max makes ``bound`` search instead of reading the plan file, so --budget counts
+    "budget-0": (["bound", "--mu-max", "3", "--budget", "0"], None),
     "plan-mu-huge-table": (["bound"], lambda blobs: blobs["plan"].update(
         mu=[10 ** 30, 10 ** 30],
         assign={"table": [[1, 1, 2, 1], [1, 2, 2, 2], [2, 1, 1, 1], [2, 2, 1, 2]]})),
@@ -258,6 +276,13 @@ def _plan_2x2() -> dict:
 
     return ReplicationPlan.from_shifts([2, 2], [[None, 1], [1, None]],
                                        contiguous_partition([2, 2], [1, 1])).to_json()
+
+
+def _plan_3_user_mirror() -> dict:
+    """A valid plan for 3 users, which the 2-user test spec does not have."""
+    from halfcake.replication_bounds import ReplicationPlan
+
+    return ReplicationPlan.mirror(3).to_json()
 
 
 def _prime_slot() -> dict:

@@ -11,7 +11,6 @@ from halfcake import (
     ReplicationPlan,
     ScalarDomain,
     StructuredMatrix,
-    build_replicated,
     contiguous_partition,
     cooperate,
     det_nonzero_with_var_zeroed,
@@ -95,7 +94,7 @@ def test_first_column_band_of_stripped_counterexample(counterexample_spec):
     # first 18 columns: row-block budgets 6 + 5 + 6 cap the rank at 17
     real = sample_generic(counterexample_spec, seed=5, domain=ScalarDomain.prime_default())
     stripped = strip_desired(real)
-    sub = stripped.data[:, :18]
+    sub = stripped[:, :18]
     r = rank_mod_p(sub, MERSENNE61)
     assert r <= 17
     assert r == 17  # generic samples reach the cap
@@ -406,7 +405,7 @@ def _circulant_pattern(spec, rng, mu_min: int, mu_max: int):
     shifts = rng.integers(0, mu[0], size=(spec.K, spec.K)).tolist()
     partition = contiguous_partition(mu, rng.integers(0, mu[0] + 1, size=spec.K).tolist())
     plan = ReplicationPlan.from_shifts(mu, shifts, partition)
-    return cooperate(build_replicated(spec, plan), plan.partition).pattern
+    return cooperate(spec, plan).pattern
 
 
 def _circulant_cooperation(seed: int, p: int) -> np.ndarray:

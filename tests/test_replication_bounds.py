@@ -100,16 +100,6 @@ def test_plan_validation_rejects_gaps():
                          ReplicationPlan(plan.mu, bad_alpha, plan.partition))
 
 
-def test_partition_must_cover():
-    spec = NetworkSpec.square((2, 2, 2))
-    repnet = build_replicated(spec, ReplicationPlan.mirror(3))
-    with pytest.raises(BadPartition):
-        cooperate(repnet, (((0, 0),), ((1, 0), (1, 1), (2, 0), (2, 1))))
-    with pytest.raises(BadPartition):
-        cooperate(repnet, (((0, 0), (0, 1), (0, 0)),
-                           ((1, 0), (1, 1), (2, 0), (2, 1))))
-
-
 def _mirror_with(assign_edit=None, partition_edit=None):
     """Arguments of ``ReplicationPlan(...)`` for the 3-user mirror plan, with one edit."""
     plan = ReplicationPlan.mirror(3)
@@ -171,8 +161,7 @@ def test_plan_json_roundtrip():
 
 
 def test_mirror_cooperation_is_stripped_matrix(reduced_spec):
-    repnet = build_replicated(reduced_spec, ReplicationPlan.mirror(3))
-    coop = cooperate(repnet, ReplicationPlan.mirror(3).partition)
+    coop = cooperate(reduced_spec, ReplicationPlan.mirror(3))
     assert (coop.Mbar1, coop.Nbar1, coop.Mbar2, coop.Nbar2) == (24, 24, 24, 24)
     assert coop.pattern.shape == (24, 24)
     assert coop.pattern.entries == {
@@ -182,16 +171,43 @@ def test_mirror_cooperation_is_stripped_matrix(reduced_spec):
 
 def test_rect23_cooperation_shape(rect23_spec):
     plan = presets.rect_2x3_plan()
-    coop = cooperate(build_replicated(rect23_spec, plan), plan.partition)
+    coop = cooperate(rect23_spec, plan)
     assert (coop.Mbar1, coop.Nbar1, coop.Mbar2, coop.Nbar2) == (18, 27, 12, 18)
     assert coop.pattern.shape == (18, 18)
 
 
 def test_asym_cooperation_shape(asym_spec):
     plan = presets.mixed_dims_plan()
-    coop = cooperate(build_replicated(asym_spec, plan), plan.partition)
+    coop = cooperate(asym_spec, plan)
     assert (coop.Mbar1, coop.Nbar2) == (24, 23)
     assert coop.pattern.shape == (23, 24)
+
+
+def _reference_cross_entries(spec, plan):
+    """Cross-matrix entries read off the replicated network: every group-2 receiver
+    replica against every group-1 transmitter replica in ``build_replicated``'s sources."""
+    repnet = build_replicated(spec, plan)
+    idx = {u: t for t, u in enumerate(repnet.users)}
+    g1, g2 = plan.partition
+    return {(r, c): repnet.source[(idx[rx], idx[tx])]
+            for r, rx in enumerate(g2) for c, tx in enumerate(g1)
+            if (idx[rx], idx[tx]) in repnet.source}
+
+
+def test_cooperation_matches_replicated_network():
+    rng = np.random.default_rng(19)
+    for t in range(200):
+        spec = random_square_spec((19, t), K_min=2, K_max=4)
+        K = spec.K
+        mu = tuple(int(m) for m in rng.integers(1, 4, size=K))
+        assign = {(j, b, i): int(rng.integers(mu[i]))
+                  for j in range(K) for b in range(mu[j]) for i in range(K) if i != j}
+        replicas = [(i, a) for i in range(K) for a in range(mu[i])]
+        order = rng.permutation(len(replicas))
+        side = rng.integers(0, 2, size=len(replicas))
+        partition = tuple(tuple(replicas[n] for n in order if side[n] == g) for g in (0, 1))
+        plan = ReplicationPlan(mu, assign, partition)
+        assert cooperate(spec, plan).pattern.entries == _reference_cross_entries(spec, plan)
 
 
 def test_outer_bound_rect23(rect23_spec):
@@ -377,8 +393,8 @@ def test_candidate_potentials_match_cooperation():
             plan = ReplicationPlan.from_shifts(
                 [mu] * K, shifts[n], contiguous_partition([mu] * K, cuts[n].tolist()))
             if swap[n]:
-                plan = plan.swapped()
-            coop = cooperate(build_replicated(spec, plan), plan.partition)
+                plan = ReplicationPlan(plan.mu, plan.assign, plan.partition[::-1])
+            coop = cooperate(spec, plan)
             assert got[n] == coop.Mbar1 + coop.Nbar2 - coop.pattern.structural_cap(spec)
             checked += 1
     assert checked == 600
