@@ -103,6 +103,10 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    # checked with a plan file too, which makes no search
+    for name, value in (("mu_max", args.mu_max), ("budget", args.budget)):
+        if value < 1:
+            raise InvalidArgument(f"{name} must be >= 1, got {value}")
     spec = _load_spec(args.spec)
     if args.plan:
         plan = ReplicationPlan.from_json(_load_json(args.plan))

@@ -200,6 +200,12 @@ def _as_shift_table(plan: ReplicationPlan):
     return shifts
 
 
+def _check_user_count(spec: NetworkSpec, plan: ReplicationPlan) -> None:
+    """PlanViolatesDefinition1 unless ``plan`` has one replica count per user of ``spec``."""
+    if plan.K != spec.K:
+        raise PlanViolatesDefinition1("plan user count disagrees with the spec")
+
+
 def contiguous_partition(mu: Sequence[int], cuts: Sequence[int]
                          ) -> Tuple[Tuple[Replica, ...], Tuple[Replica, ...]]:
     """Group 1 takes the first cuts[i] copies of user i, group 2 the rest."""
@@ -245,6 +251,7 @@ class ReplicatedNetwork:
 
 def build_replicated(spec: NetworkSpec, plan: ReplicationPlan) -> ReplicatedNetwork:
     """Wire the replicated network of a plan with one replica count per user of ``spec``."""
+    _check_user_count(spec, plan)
     K = spec.K
     users = tuple((i, a) for i in range(K) for a in range(plan.mu[i]))
     idx = {u: t for t, u in enumerate(users)}
@@ -291,8 +298,7 @@ def cooperate(spec: NetworkSpec, plan: ReplicationPlan) -> CooperativeChannel:
     (i, assign[(j, beta, i)]); when that replica is in group 1, block (j, i)
     sits at their row and column of the cross matrix.
     """
-    if plan.K != spec.K:
-        raise PlanViolatesDefinition1("plan user count disagrees with the spec")
+    _check_user_count(spec, plan)
     g1, g2 = plan.partition
     rows = {rx: r for r, rx in enumerate(g2)}
     cols = {tx: c for c, tx in enumerate(g1)}
@@ -405,7 +411,8 @@ def weighted_dof_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8
 # bounded search over plans
 # ---------------------------------------------------------------------------
 
-#: trials of each screening rank inside the search; the winner is re-certified
+#: trials of each screening rank inside the search; a winner short of its flow
+#: cap is re-certified
 _SCREEN_TRIALS = 1
 
 #: random candidates drawn from the seeded stream at a time
@@ -569,13 +576,10 @@ class _FloorTable:
 
     def __init__(self, spec: NetworkSpec, mu_max: int):
         self.starts = np.concatenate([[0, 0], np.cumsum(np.arange(2, mu_max + 2) ** spec.K)])
-        parts = []
-        for mu in range(1, mu_max + 1):
-            n1 = _cut_rows(spec.K, mu)
-            parts.append(_potential_floors(spec, np.full(len(n1), mu), n1,
-                                           np.zeros(len(n1), dtype=bool)))
-        self.floors = np.concatenate(parts)
-        self.least = np.array([0] + [part.min() for part in parts])
+        n1 = np.concatenate([_cut_rows(spec.K, mu) for mu in range(1, mu_max + 1)])
+        mus = np.repeat(np.arange(1, mu_max + 1), np.diff(self.starts[1:]))
+        self.floors = _potential_floors(spec, mus, n1, np.zeros(len(n1), dtype=bool))
+        self.least = np.concatenate([[0], np.minimum.reduceat(self.floors, self.starts[1:-1])])
 
     def lookup(self, mus, cuts, swap) -> np.ndarray:
         """The floor of each row."""
@@ -604,19 +608,30 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     phases hand the remaining rows to one step, ``rank``: the structural
     rank cap, computed on integer arrays by ``candidate_potentials``,
     gives each row a potential (best value it could still reach), and only
-    rows whose potential beats the current best are built as plans and
-    pay for a rank evaluation over 2**61-1.  They are walked by (group,
-    potential, partition), the group being a row's table within its batch
-    in the offset-class phase and its draw index in the random phase.
+    rows whose potential beats the current best are built as plans.  They
+    are walked by (group, potential, partition), the group being a row's
+    table within its batch in the offset-class phase and its draw index in
+    the random phase, whose rows are scored in one call once ``_CHUNK`` of
+    them have passed the floor, and once at the end.
+    A pattern seen for the first time counts as one rank evaluation and
+    gets its max-flow cap (``BlockPattern.flow_cap``), which no rank
+    exceeds; only when (Mbar1 + Nbar2 - cap) / mu, with its mu and plan
+    encoding, still beats the best key does it pay for a one-trial rank
+    over 2**61-1, seeded by that evaluation's index, so a pattern skipped
+    once and ranked at a later memo hit gets the same rank.
     Each row is tested against the best again when its turn comes, so the
     checks that end a phase early change nothing: the walk of a mu ends,
     between batches, once its least floor cannot beat the best (if a row's
     floor no longer beats the best, neither does its potential), and no
-    random chunk is drawn once no mu in 2..mu_max can win.  None of this
+    random chunk is drawn once no mu in 2..mu_max can beat the best as of
+    the last scoring call.  None of this
     changes the rows that are evaluated or their order.
     ``budget`` bounds the work: at most ``budget`` rank evaluations (memo
-    hits are free) and at most ``2 * budget`` random candidates scored.
-    The winner is re-certified at ``certify_trials``.  Ties break
+    hits are free, and a pattern the flow cap rules out counts as one) and
+    at most ``2 * budget`` random candidates scored.  A winner whose
+    screening rank reaches its flow cap has its generic rank already;
+    only one that falls short is re-certified at ``certify_trials``.  The
+    method string names ``certify_trials`` either way.  Ties break
     lexicographically on (bound, mu, plan encoding).  SearchTooLarge if
     the floor table would have more than ``MAX_FLOOR_ENTRIES`` entries.
     """
@@ -624,6 +639,8 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
         raise InvalidArgument(f"mu_max must be >= 1, got {mu_max}")
     if budget < 1:
         raise InvalidArgument(f"budget must be >= 1, got {budget}")
+    if certify_trials < 1:
+        raise InvalidArgument(f"trials must be >= 1, got {certify_trials}")
     K = spec.K
     entries = 0
     for mu in range(1, mu_max + 1):  # Python ints: stops early on a huge mu_max
@@ -632,9 +649,9 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
             raise SearchTooLarge(f"a search over {K} users up to mu_max {mu_max} needs more "
                                  f"than {MAX_FLOOR_ENTRIES} (mu, cut) floor entries")
     floors = _FloorTable(spec, mu_max)
-    best_key = best_plan = None  # best_key = (value, mu, plan encoding)
+    best_key = winner = None  # best_key = (value, mu, plan encoding)
     evals = 0
-    rank_memo: dict = {}
+    rank_memo: dict = {}  # pattern -> [screening rank or None, its eval index, flow cap]
 
     def beats_best(potential, mu):
         """Whether potential / mu is below the best value; broadcasts over arrays."""
@@ -644,7 +661,7 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
 
     def rank(mus, shifts, cuts, swap, group):
         """Score rows, then rank those that beat the best by (group, potential, mu, partition)."""
-        nonlocal evals, best_key, best_plan
+        nonlocal evals, best_key, winner
         potentials = candidate_potentials(spec, mus, shifts, cuts, swap)
         keep = np.flatnonzero(beats_best(potentials, mus))
         rows = sorted((g, p, mu, _oriented_partition(mu, cuts[n], swap[n]), n)
@@ -661,13 +678,19 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
                    tuple(sorted(coop.pattern.entries.items())))
             if key not in rank_memo:
                 evals += 1
-                rank_memo[key] = generic_rank_pattern(spec, coop.pattern,
-                                                      trials=_SCREEN_TRIALS,
-                                                      seed=(seed, evals))
-            value = Fraction(coop.Mbar1 + coop.Nbar2 - rank_memo[key], mu)
-            cand_key = (value, mu, plan.encoding())
+                rank_memo[key] = [None, evals, coop.pattern.flow_cap(spec)]
+            screened, index, cap = rank_memo[key]
+            total, encoding = coop.Mbar1 + coop.Nbar2, plan.encoding()
+            # no rank exceeds the flow cap, so a plan whose floor key is not below the
+            # best cannot win, and its rank is left to a later memo hit that needs it
+            if best_key is not None and (Fraction(total - cap, mu), mu, encoding) >= best_key:
+                continue
+            if screened is None:
+                screened = rank_memo[key][0] = generic_rank_pattern(
+                    spec, coop.pattern, trials=_SCREEN_TRIALS, seed=(seed, index))
+            cand_key = (Fraction(total - screened, mu), mu, encoding)
             if best_key is None or cand_key < best_key:
-                best_key, best_plan = cand_key, plan
+                best_key, winner = cand_key, (plan, coop, screened, cap)
 
     for mu in range(1, mu_max + 1):
         one_side = _cut_rows(K, mu)
@@ -688,6 +711,7 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     rng = rng_from(seed, 0x5E)
     links = ~np.eye(K, dtype=bool)
     random_mus = np.arange(2, mu_max + 1)
+    pending, held = [], 0  # rows that passed the floor, each with its draw index
     for drawn in range(0, 2 * budget, _CHUNK):
         if evals >= budget or not beats_best(floors.least[random_mus], random_mus).any():
             break
@@ -697,10 +721,20 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
         cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
         swap = rng.integers(0, 2, size=n).astype(bool)
         live = np.flatnonzero(beats_best(floors.lookup(mus, cuts, swap), mus))
-        if len(live):
-            rank(mus[live], shifts[live], cuts[live], swap[live], live)
+        pending.append((mus[live], shifts[live], cuts[live], swap[live], drawn + live))
+        held += len(live)
+        if held >= _CHUNK:
+            rank(*map(np.concatenate, zip(*pending)))
+            pending, held = [], 0
+    if held:
+        rank(*map(np.concatenate, zip(*pending)))
 
-    return outer_bound(spec, best_plan, trials=certify_trials, seed=seed)
+    plan, coop, screened, cap = winner
+    if screened < cap:
+        return outer_bound(spec, plan, trials=certify_trials, seed=seed)
+    # the screening trial reached the flow cap, so it is the generic rank already
+    return DofBound(best_key[0], best_key[1], screened, coop.Mbar1, coop.Nbar2, plan,
+                    f"generic-prime-field(trials={certify_trials})")
 
 
 # ---------------------------------------------------------------------------

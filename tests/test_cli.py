@@ -243,6 +243,9 @@ BAD_INPUTS = {
     "mu-max-0": (["analyze", "--mu-max", "0"], None),
     # --mu-max makes ``bound`` search instead of reading the plan file, so --budget counts
     "budget-0": (["bound", "--mu-max", "3", "--budget", "0"], None),
+    # a plan file makes no search, but the search flags are still checked
+    "plan-budget-0": (["bound", "--budget", "0"], None),
+    "plan-mu-max-0": (["bound", "--mu-max", "0", "--plan"], None),
     "plan-mu-huge-table": (["bound"], lambda blobs: blobs["plan"].update(
         mu=[10 ** 30, 10 ** 30],
         assign={"table": [[1, 1, 2, 1], [1, 2, 2, 2], [2, 1, 1, 1], [2, 2, 1, 2]]})),
@@ -317,7 +320,9 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     argv = args + ["--spec", str(paths["spec"])]
     if args[0] == "verify":
         argv += ["--channel", str(paths["channel"]), "--scheme", str(paths["scheme"])]
-    if args[0] == "bound" and "--mu-max" not in args:
+    if "--plan" in argv:  # the case places the plan file itself
+        argv.insert(argv.index("--plan") + 1, str(paths["plan"]))
+    elif args[0] == "bound" and "--mu-max" not in args:
         argv += ["--plan", str(paths["plan"])]
     assert main(argv) == 2
     captured = capsys.readouterr()

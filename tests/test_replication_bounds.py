@@ -3,7 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -98,6 +98,12 @@ def test_plan_validation_rejects_gaps():
     with pytest.raises(PlanViolatesDefinition1):
         build_replicated(NetworkSpec.square((2, 2, 2)),
                          ReplicationPlan(plan.mu, bad_alpha, plan.partition))
+
+
+@pytest.mark.parametrize("users, plan_users", [(2, 3), (3, 2)])
+def test_build_replicated_rejects_plans_for_another_user_count(users, plan_users):
+    with pytest.raises(PlanViolatesDefinition1, match="user count"):
+        build_replicated(NetworkSpec.square((2,) * users), ReplicationPlan.mirror(plan_users))
 
 
 def _mirror_with(assign_edit=None, partition_edit=None):
@@ -554,15 +560,16 @@ def test_search_pinned_on_presets(name):
                                       "partition": partition}
 
 
-#: search_bounds(spec, mu_max=3) per preset: generic_rank_pattern calls (the
-#: final certification included), candidate_potentials calls, rows scored
+#: search_bounds(spec, mu_max=3) per preset: generic_rank_pattern calls (a
+#: re-certification of the winner included; none of these needs one),
+#: candidate_potentials calls, rows scored
 WORK_PINS = {
-    "counterexample": (3, 22, 389),
-    "example-2x3": (2, 1, 16),
-    "example-asym": (5, 2, 32),
-    "reduced-example": (3, 2, 24),
-    "theorem5": (2, 1, 16),
-    "theorem6": (5, 2, 24),
+    "counterexample": (2, 3, 389),
+    "example-2x3": (1, 1, 16),
+    "example-asym": (2, 2, 32),
+    "reduced-example": (2, 2, 24),
+    "theorem5": (1, 1, 16),
+    "theorem6": (2, 2, 24),
 }
 
 
@@ -580,6 +587,51 @@ def test_search_work_pinned_on_presets(monkeypatch, name):
                         scored.append(len(cuts)) or potentials(spec, mu, shifts, cuts, swap))
     search_bounds(presets.NETWORKS[name](), mu_max=3)
     assert (len(ranks), len(scored), sum(scored)) == WORK_PINS[name]
+
+
+def _reuse_cases():
+    """(spec, search_bounds keywords): every preset, then 40 random specs."""
+    for name in sorted(presets.NETWORKS):
+        for budget in (3, 10000):
+            yield presets.NETWORKS[name](), dict(mu_max=3, budget=budget)
+    for t in range(40):
+        spec = random_square_spec((20, t), K_min=2, K_max=4, M_max=5)
+        for mu_max in (2, 3):
+            for budget in (3, 10000):
+                yield spec, dict(mu_max=mu_max, budget=budget, seed=t)
+
+
+def test_search_winner_matches_outer_bound(monkeypatch):
+    """A winner whose screening rank reached its flow cap is returned as is; any other
+    is certified by ``outer_bound``.  Either way the bound is ``outer_bound``'s."""
+    from halfcake import replication_bounds
+
+    certified = []
+    certify = replication_bounds.outer_bound
+    monkeypatch.setattr(replication_bounds, "outer_bound",
+                        lambda *a, **kw: certified.append(1) or certify(*a, **kw))
+
+    def check(spec, kwargs):
+        before = len(certified)
+        got = search_bounds(spec, certify_trials=8, **kwargs)
+        want = certify(spec, got.plan, trials=8, seed=kwargs.get("seed", 0))
+        assert (got.to_json(), got.rank) == (want.to_json(), want.rank)
+        return len(certified) > before
+
+    natural = [check(spec, kwargs) for spec, kwargs in _reuse_cases()]
+    # no generic rank of a circulant plan was seen below its flow cap, so only an
+    # unlucky screening trial sends the winner to outer_bound: make every one fall short
+    rank_pattern = replication_bounds.generic_rank_pattern
+    monkeypatch.setattr(replication_bounds, "generic_rank_pattern",
+                        lambda spec, pattern, trials, seed: rank_pattern(
+                            spec, pattern, trials=trials, seed=seed) - (trials == 1))
+    short = [check(spec, kwargs) for spec, kwargs in islice(_reuse_cases(), 12)]
+    assert not all(natural) and all(short)
+
+
+def test_search_rejects_zero_certify_trials():
+    with pytest.raises(InvalidArgument):
+        search_bounds(NetworkSpec.square((2, 2)), mu_max=2, certify_trials=0)
 
 
 @pytest.mark.parametrize("kwargs", [{"mu_max": 0}, {"mu_max": 2, "budget": 0}])
