@@ -420,9 +420,9 @@ def example2_scheme(ext: ExtendedRealization, seed: int = 0) -> LinearScheme:
 
 
 def best_exceeding_scheme(ext: ExtendedRealization, seed: int = 0, tol: float = 1e-8
-                          ) -> Optional[Tuple[LinearScheme, str]]:
+                          ) -> Optional[Tuple[LinearScheme, str, VerificationReport]]:
     """First construction beating half the cake that verifies at ``tol``,
-    trying all relabelings.
+    trying all relabelings, with its family and its passing report.
 
     The aligned-pair condition does not need symmetric ranks, so this also
     covers asymmetric specs; returns None when neither family applies.
@@ -435,8 +435,9 @@ def best_exceeding_scheme(ext: ExtendedRealization, seed: int = 0, tol: float = 
             scheme = _build(ext, perm, family, seed)
         except HalfCakeError:
             continue
-        if verify_scheme(ext, scheme, tol=tol).passed:
-            return scheme, family
+        report = verify_scheme(ext, scheme, tol=tol)
+        if report.passed:
+            return scheme, family, report
     return None
 
 

@@ -31,10 +31,6 @@ class NotSquareCase(HalfCakeError):
     """Operation requires per-user equal transmit and receive antennas (M == N)."""
 
 
-class NotSquare(HalfCakeError):
-    """Determinant test requires a square overall matrix."""
-
-
 class WrongK(HalfCakeError):
     """Operation is only defined for a specific user count."""
 

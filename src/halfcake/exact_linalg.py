@@ -1,4 +1,4 @@
-"""Rank, null-space, and randomized determinant kernels over two scalar domains.
+"""Rank, null-space and generic-rank kernels over two scalar domains.
 
 Structural questions (does a block matrix with given per-block rank budgets
 have full rank for generic entries?) are decided exactly over one large
@@ -29,13 +29,13 @@ singular-value tolerance, ``RANK_TOL``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, NotSquare
+from .errors import InvalidArgument
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -439,81 +439,3 @@ def spec_pattern(spec) -> BlockPattern:
 def generic_rank(spec, trials: int = 8, seed: int = 0) -> int:
     """Generic rank of the stripped overall channel matrix (desired blocks zeroed)."""
     return generic_rank_pattern(spec, spec_pattern(spec), trials, seed)
-
-
-# ---------------------------------------------------------------------------
-# symbolic rank-1 decomposition with free coefficients
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StructuredMatrix:
-    """Desired-zeroed overall matrix with each cross block written as a sum of
-    rank-1 terms: block (j, i) = sum_m a_m * v_m u_m with frozen generic
-    vectors v, u and free coefficients a.  Coefficients in ``zeroed`` are
-    pinned to zero during evaluation.
-    """
-
-    spec: object
-    factors: dict  # (j, i) -> (V: N_j x D_ji, U: D_ji x M_i) int64 residue arrays
-    zeroed: set = field(default_factory=set)
-
-    @classmethod
-    def from_spec(cls, spec, seed: int = 0) -> "StructuredMatrix":
-        factors = {}
-        for j in range(spec.K):
-            for i in range(spec.K):
-                if i == j:
-                    continue
-                d = spec.D[j][i]
-                if d == 0:
-                    continue
-                rng = rng_from(seed, 0x5F, j, i)
-                V = rng.integers(0, MERSENNE61, size=(spec.N[j], d), dtype=np.int64)
-                U = rng.integers(0, MERSENNE61, size=(d, spec.M[i]), dtype=np.int64)
-                factors[(j, i)] = (V, U)
-        return cls(spec=spec, factors=factors)
-
-    @property
-    def is_square(self) -> bool:
-        return sum(self.spec.M) == sum(self.spec.N)
-
-    def variables(self):
-        """All coefficient indices (j, i, m) in lexicographic order."""
-        out = []
-        for j in range(self.spec.K):
-            for i in range(self.spec.K):
-                if i != j and (j, i) in self.factors:
-                    out.extend((j, i, m) for m in range(self.spec.D[j][i]))
-        return out
-
-    def evaluate(self, rng, extra_zeroed=frozenset()) -> np.ndarray:
-        """Random evaluation of the free coefficients (int64 matrix of residues mod 2**61 - 1)."""
-        spec = self.spec
-        dead = self.zeroed | set(extra_zeroed)
-        blocks = {}
-        for (j, i), (V, U) in sorted(self.factors.items()):
-            d = spec.D[j][i]
-            coeffs = rng.integers(0, MERSENNE61, size=d, dtype=np.int64)
-            coeffs[[m for m in range(d) if (j, i, m) in dead]] = 0
-            blocks[(j, i)] = matmul_mod_p(V, matmul_mod_p(np.diag(coeffs), U))
-        pattern = BlockPattern(spec.N, spec.M, {key: key for key in blocks})
-        return _place_blocks(pattern, blocks, np.int64)
-
-
-def det_nonzero_with_var_zeroed(struct: StructuredMatrix, var, trials: int = 8,
-                                seed: int = 0) -> bool:
-    """Whether the determinant polynomial stays nonzero with one coefficient pinned to 0.
-
-    True iff some random evaluation (coefficient ``var`` and all previously
-    zeroed ones fixed to 0, every other coefficient uniform in the field)
-    yields a full-rank matrix.
-    """
-    if not struct.is_square:
-        raise NotSquare("determinant test needs a square overall matrix")
-    n = sum(struct.spec.M)
-    for t in range(trials):
-        rng = rng_from(seed, 0xD7, t)
-        if rank_mod_p(struct.evaluate(rng, extra_zeroed={tuple(var)})) == n:
-            return True
-    return False

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 from typing import Dict, List, Optional, Tuple
 
 from .channel_model import NetworkSpec, _json_frac
@@ -27,12 +27,7 @@ from .errors import (
     NotSymmetric,
     WrongK,
 )
-from .exact_linalg import (
-    StructuredMatrix,
-    _max_flow,
-    det_nonzero_with_var_zeroed,
-    generic_rank,
-)
+from .exact_linalg import _max_flow, generic_rank
 
 OPTIMAL_CERTIFIED = "OPTIMAL_CERTIFIED"
 MORE_THAN_HALF_POSSIBLE = "MORE_THAN_HALF_POSSIBLE"
@@ -344,38 +339,38 @@ def symmetric_allocation(K: int, M: int, D: int) -> ReducedRankCertificate:
 
 
 # ---------------------------------------------------------------------------
-# certificate extraction by determinant tests
+# certificate extraction by generic-rank tests
 # ---------------------------------------------------------------------------
 
 
 def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8
                         ) -> Optional[ReducedRankCertificate]:
-    """Extract a certificate by greedily zeroing rank-1 coefficients.
+    """Extract a certificate by greedily lowering cross ranks.
 
-    Visits the coefficients in lexicographic (j, i, m) order and pins each
-    to zero whenever the stripped matrix's determinant polynomial stays
-    nonzero without it.  Surviving counts per block form the reduced
-    ranks.  Different visiting orders can produce different (all valid)
-    certificates.  Returns None when the stripped matrix is not
+    Visits the cross links (j, i) in lexicographic order and lowers D[j][i]
+    one unit at a time while the stripped matrix stays generically full
+    rank, stopping the link at its first failure.  Lowering a generic
+    block's rank by one zeroes one of its interchangeable rank-1 terms, so
+    this is Lemma 1's necessity argument.  The lowered ranks form the
+    certificate.  Different visiting orders can produce different (all
+    valid) certificates.  Returns None when the stripped matrix is not
     generically full rank.
     """
     if not spec.is_square:
         raise NotSquareCase("reduction is defined for the square case")
     if generic_rank(spec, trials=trials, seed=seed) != spec.M_sigma:
         return None
-    struct = StructuredMatrix.from_spec(spec, seed=seed)
-    for idx, var in enumerate(struct.variables()):
-        if det_nonzero_with_var_zeroed(struct, var, trials=trials, seed=(seed, 0xA1, idx)):
-            struct.zeroed.add(var)
-    K = spec.K
-    rows = [[0] * K for _ in range(K)]
-    for j in range(K):
-        for i in range(K):
-            if i != j:
-                rows[j][i] = spec.D[j][i] - sum(
-                    1 for (a, b, m) in struct.zeroed if (a, b) == (j, i)
-                )
-    return validate_certificate(spec, ReducedRankCertificate.from_rows(rows))
+    D = [list(row) for row in spec.D]
+    checks = count()
+    for j in range(spec.K):
+        for i in range(spec.K):
+            while i != j and D[j][i] > 0:
+                D[j][i] -= 1
+                lowered = NetworkSpec(spec.M, spec.N, tuple(map(tuple, D)))
+                if generic_rank(lowered, trials, (seed, 0xA1, next(checks))) != spec.M_sigma:
+                    D[j][i] += 1
+                    break
+    return validate_certificate(spec, ReducedRankCertificate.from_rows(D))
 
 
 # ---------------------------------------------------------------------------

@@ -151,11 +151,14 @@ class ReplicationPlan:
                 if any(row[j] is not None for j, row in enumerate(shifts) if j < len(row)):
                     raise BadShape("shifts: a desired link has no shift; the diagonal must be null")
             elif isinstance(raw, dict) and "table" in raw:
-                table = {
-                    (_json_int(j, "table") - 1, _json_int(b, "table") - 1,
-                     _json_int(i, "table") - 1): _json_int(a, "table") - 1
-                    for j, b, i, a in raw["table"]
-                }
+                table = {}
+                for entry in raw["table"]:
+                    j, b, i, a = (_json_int(v, "table") for v in entry)
+                    if (j - 1, b - 1, i - 1) in table:
+                        raise PlanViolatesDefinition1(
+                            f"receiver ({j},{b}) must hear each interferer once; "
+                            f"the table wires it to user {i} twice")
+                    table[(j - 1, b - 1, i - 1)] = a - 1
         except (KeyError, TypeError, ValueError) as exc:
             raise BadShape(f"malformed replication plan: {exc}") from exc
         if raw == "mirror":

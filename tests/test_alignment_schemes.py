@@ -204,9 +204,10 @@ def test_scheme_for_violation_relabels():
 def test_best_exceeding_scheme_counterexample(counterexample_ext):
     found = best_exceeding_scheme(counterexample_ext, seed=0)
     assert found is not None
-    scheme, family = found
+    scheme, family, report = found
     assert family == "aligned-pair"
     assert verify_scheme(counterexample_ext, scheme).sum_dof == Fraction(25, 2)
+    assert report.to_json() == verify_scheme(counterexample_ext, scheme).to_json()
 
 
 def test_best_exceeding_scheme_none_when_optimal(reduced_spec):

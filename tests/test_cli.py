@@ -249,6 +249,9 @@ BAD_INPUTS = {
     "plan-mu-huge-table": (["bound"], lambda blobs: blobs["plan"].update(
         mu=[10 ** 30, 10 ** 30],
         assign={"table": [[1, 1, 2, 1], [1, 2, 2, 2], [2, 1, 1, 1], [2, 2, 1, 2]]})),
+    # receiver replica (1,1) wired to user 2 twice; a dict would keep only the last entry
+    "plan-table-duplicate": (["bound"], _edit("plan", "assign", value={"table": [
+        [1, 1, 2, 1], [1, 1, 2, 2], [1, 2, 2, 1], [2, 1, 1, 1], [2, 2, 1, 2]]})),
     "spec-huge-sample": (["sample"], _huge_spec),
     "spec-huge-analyze": (["analyze"], _huge_spec),
     "spec-huge-bound-plan": (["bound"], _huge_spec),

@@ -10,10 +10,8 @@ from halfcake import (
     NetworkSpec,
     ReplicationPlan,
     ScalarDomain,
-    StructuredMatrix,
     contiguous_partition,
     cooperate,
-    det_nonzero_with_var_zeroed,
     feasibility_evidence,
     generic_rank,
     left_null_space_basis,
@@ -24,7 +22,6 @@ from halfcake import (
     sample_generic,
     strip_desired,
 )
-from halfcake.errors import NotSquare
 from halfcake.exact_linalg import (
     generic_rank_pattern,
     instantiate_pattern,
@@ -221,33 +218,30 @@ def test_generic_rank_structural_cap():
 
 
 # ---------------------------------------------------------------------------
-# determinant tests with pinned coefficients
+# full rank with one cross rank lowered by one
 # ---------------------------------------------------------------------------
 
 
-def test_det_two_user_single_coefficient_is_essential():
+def _lowered(spec, j, i):
+    """``spec`` with the cross rank D[j][i] lowered by one."""
+    D = [list(row) for row in spec.D]
+    D[j][i] -= 1
+    return NetworkSpec(spec.M, spec.N, tuple(map(tuple, D)))
+
+
+def test_lowering_two_user_single_rank_loses_full_rank():
     spec = NetworkSpec.square((1, 1))
-    struct = StructuredMatrix.from_spec(spec, seed=0)
-    assert det_nonzero_with_var_zeroed(struct, (0, 1, 0), trials=4, seed=0) is False
+    assert generic_rank(_lowered(spec, 0, 1), trials=4, seed=0) < 2
 
 
-def test_det_reduced_example_spare_coefficient(reduced_spec):
-    struct = StructuredMatrix.from_spec(reduced_spec, seed=0)
-    # block (1,3) carries 3 coefficients but only 2 are needed
-    assert det_nonzero_with_var_zeroed(struct, (0, 2, 0), trials=8, seed=0) is True
+def test_lowering_reduced_example_spare_rank_keeps_full_rank(reduced_spec):
+    # block (1,3) has rank 3 but only 2 are needed
+    assert generic_rank(_lowered(reduced_spec, 0, 2), trials=8, seed=0) == 24
 
 
-def test_det_counterexample_identically_zero(counterexample_spec):
-    struct = StructuredMatrix.from_spec(counterexample_spec, seed=0)
-    for var in [(0, 1, 0), (1, 0, 4), (2, 0, 3)]:
-        assert det_nonzero_with_var_zeroed(struct, var, trials=4, seed=1) is False
-
-
-def test_det_requires_square():
-    spec = NetworkSpec.make((2, 2), (3, 2))
-    struct = StructuredMatrix.from_spec(spec, seed=0)
-    with pytest.raises(NotSquare):
-        det_nonzero_with_var_zeroed(struct, (0, 1, 0))
+def test_lowering_counterexample_stays_below_full_rank(counterexample_spec):
+    for j, i in [(0, 1), (1, 0), (2, 0)]:
+        assert generic_rank(_lowered(counterexample_spec, j, i), trials=4, seed=1) < 24
 
 
 def test_scalar_domain_validation():

@@ -1,8 +1,11 @@
 """Feasibility conditions: flow, 3-user inequalities, allocations, verdicts."""
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from halfcake import (
@@ -17,10 +20,12 @@ from halfcake import (
     greedy_chip_allocation,
     half_cake_verdict,
     necessity_reduction,
+    random_square_spec,
     reduced_rank_feasible,
     symmetric_allocation,
     validate_certificate,
 )
+from halfcake import presets
 from halfcake.errors import (
     ConditionFails,
     DominantUser,
@@ -265,7 +270,7 @@ def test_symmetric_allocation_condition_fails():
 
 
 # ---------------------------------------------------------------------------
-# certificate extraction by determinant tests
+# certificate extraction by generic-rank tests
 # ---------------------------------------------------------------------------
 
 
@@ -286,8 +291,6 @@ def test_necessity_reduction_infeasible_returns_none(counterexample_spec):
 
 
 def test_necessity_reduction_matches_flow_row_sums():
-    import numpy as np
-
     rng = np.random.default_rng(55)
     hits = 0
     while hits < 6:
@@ -300,6 +303,47 @@ def test_necessity_reduction_matches_flow_row_sums():
         assert cert is not None
         assert cert.tx_sums() == spec.M and cert.rx_sums() == spec.M
         hits += 1
+
+
+def test_necessity_reduction_rejects_non_square():
+    with pytest.raises(NotSquareCase):
+        necessity_reduction(NetworkSpec.make((2, 2), (3, 2)))
+
+
+def _reduction_corpus():
+    """(spec, necessity_reduction keywords) of the 239 runs that ``REDUCTION_DIGEST`` pins."""
+    yield presets.reduced_example_network(), dict(seed=0, trials=6)
+    yield NetworkSpec.square((3, 3)), dict(seed=0, trials=4)
+    yield presets.counterexample_network(), dict(seed=0, trials=4)
+    rng = np.random.default_rng(55)
+    hits = 0
+    while hits < 6:
+        M = tuple(int(v) for v in rng.integers(1, 4, size=3))
+        if max(M) <= sum(M) - max(M):
+            yield NetworkSpec.square(M), dict(seed=hits, trials=6)
+            hits += 1
+    for t in range(150):
+        yield random_square_spec((77, t)), dict(seed=t)
+    t = hits = 0
+    while hits < 80:
+        spec = random_square_spec((78, t), K_min=2, K_max=4, M_max=4)
+        if reduced_rank_feasible(spec) is not None:
+            yield spec, dict(seed=t)
+            hits += 1
+        t += 1
+
+
+#: SHA-256 of the newline-joined ``necessity_reduction(...)`` certificates
+#: (``to_json()``, or null) over ``_reduction_corpus()``, in its order,
+#: recorded with the rank-1 coefficient determinant tests this replaced
+REDUCTION_DIGEST = "ac7b90bb682ef611ca49c486cd637b4b4790927c93d57a29c38a726c1db01c18"
+
+
+def test_necessity_reduction_pinned_on_corpus():
+    certs = [necessity_reduction(spec, **kwargs) for spec, kwargs in _reduction_corpus()]
+    assert len(certs) == 239 and sum(c is not None for c in certs) == 96
+    texts = [json.dumps(None if c is None else c.to_json()) for c in certs]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == REDUCTION_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,15 @@ def test_plan_json_roundtrip():
     assert mirror == ReplicationPlan.mirror(3)
 
 
+def test_plan_json_rejects_a_receiver_wired_twice_to_one_interferer():
+    obj = {"mu": [2, 2], "partition": [[[1, 1], [2, 1]], [[1, 2], [2, 2]]],
+           "assign": {"table": [[1, 1, 2, 1], [1, 2, 2, 2], [2, 1, 1, 1], [2, 2, 1, 2]]}}
+    ReplicationPlan.from_json(obj)
+    obj["assign"]["table"].insert(1, [1, 1, 2, 2])
+    with pytest.raises(PlanViolatesDefinition1, match=r"receiver \(1,1\).* user 2 twice"):
+        ReplicationPlan.from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # cooperation shapes and bounds
 # ---------------------------------------------------------------------------
