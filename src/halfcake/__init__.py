@@ -47,12 +47,10 @@ from .rank_feasibility import (
     classify_symmetric_3user,
     evaluate_cd_inequalities,
     feasibility_evidence,
-    greedy_chip_allocation,
     half_cake_verdict,
     lemma1_equivalence_run,
     necessity_reduction,
     reduced_rank_feasible,
-    symmetric_allocation,
     validate_certificate,
 )
 from .replication_bounds import (

@@ -64,16 +64,17 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     report: dict = {"spec": spec.to_json(), "seeds": {"seed": args.seed}}
 
+    # first, so a search too large to run is refused before any other work
+    bound = search_bounds(spec, mu_max=args.mu_max, budget=args.budget,
+                          seed=args.seed, certify_trials=args.trials)
+    report["best_bound"] = bound.to_json()
+
     if spec.is_square:
         verdict = half_cake_verdict(spec, seed=args.seed, trials=args.trials)
         report["verdict"] = verdict.to_json()
     else:
         report["verdict"] = None
         report["notes"] = ["square-case optimality conditions do not apply (M != N)"]
-
-    bound = search_bounds(spec, mu_max=args.mu_max, budget=args.budget,
-                          seed=args.seed, certify_trials=args.trials)
-    report["best_bound"] = bound.to_json()
 
     achiev: dict = {}
     if spec.is_square:

@@ -43,10 +43,6 @@ class ConditionFails(HalfCakeError):
     """A required inequality precondition does not hold."""
 
 
-class DominantUser(HalfCakeError):
-    """One user has more antennas than all other users combined."""
-
-
 class CertificateInfeasible(HalfCakeError):
     """A reduced-rank certificate violates its sum or capacity constraints."""
 

@@ -7,9 +7,12 @@ with random factor products mod p and takes the exact elimination rank.
 The maximum over trials never exceeds the generic rank, and reaches it with
 per-trial failure probability at most (total degree)/p, so a handful of
 trials is a certificate for desk-scale matrices.  The trials are a
-maximum, not a fixed count: the max flow through block rows, block rank
-budgets and block columns bounds the rank of every instantiation, and a
+maximum, not a fixed count: the max flow from block columns through block
+rank budgets to block rows bounds the rank of every instantiation, and a
 trial that reaches it has found the generic rank exactly and ends the loop.
+On the stripped pattern of a square network the same flow network is
+Lemma 1's transportation test, so one builder gives both the rank cap and
+the reduced-rank certificate.
 
 An exact rank mod p is one elimination on rows of Python ints, for any
 p, that follows the sparsity of its input: cooperation matrices of
@@ -291,63 +294,71 @@ class BlockPattern:
         return min(rows, cols, *self.shape)
 
     def flow_cap(self, spec) -> int:
-        """Exact upper bound on the rank of every instantiation: the max flow
-        source -> block row (its size) -> block (its rank budget) -> block
-        column (its size) -> sink.
+        """Exact upper bound on the rank of every instantiation: the value of
+        ``max_flow``.
 
-        Each block is one arc from its row to its column.  A cut picks whole
-        block rows, whole block columns and the budgets of the blocks outside
-        both; together they cover every nonzero, so their total bounds the
-        rank.  ``structural_cap`` is such a cut, so this never exceeds it.
+        A cut picks whole block rows, whole block columns and the budgets of
+        the blocks outside both; together they cover every nonzero, so their
+        total bounds the rank.  ``structural_cap`` is such a cut, so this
+        never exceeds it.
+        """
+        return self.max_flow(spec)[0]
+
+    def max_flow(self, spec):
+        """Edmonds-Karp max flow source -> block column (its size) -> block
+        (its rank budget) -> block row (its size) -> sink.
+
+        Each block is one arc from its column to its row.  This one network
+        serves both the rank cap and Lemma 1's transportation test: on
+        ``spec_pattern`` the columns are transmitters supplying M_i, the rows
+        receivers taking N_j, and a saturating flow is a reduced-rank
+        certificate.  Nodes are the columns, then the rows, then source and
+        sink, with arcs in ``entries`` order.
+
+        Returns (value, flow on each block entry as ``{(r, c): f}``, block
+        rows and block columns reachable from the source in the final
+        residual graph: the source side of a minimum cut).
         """
         R, C = len(self.row_sizes), len(self.col_sizes)
-        S, T = R + C, R + C + 1
-        cap = [{} for _ in range(R + C + 2)]
-        cap[S] = dict(enumerate(self.row_sizes))
+        S, T = C + R, C + R + 1
+        cap = [{} for _ in range(C + R + 2)]
+        cap[S] = dict(enumerate(self.col_sizes))
         for (r, c), (j, i) in self.entries.items():
-            cap[r][R + c] = _block_rank_bound(spec, j, i)
-        for c, size in enumerate(self.col_sizes):
-            cap[R + c][T] = size
-        return _max_flow(cap, S, T)[0]
-
-
-def _max_flow(cap: list, source: int, sink: int):
-    """Edmonds-Karp max flow on nodes 0..len(cap)-1; ``cap[u]`` maps each
-    successor of u to the arc's capacity.
-
-    Returns (value, net flow on each arc as ``{(u, v): f}``, the nodes
-    reachable from ``source`` in the final residual graph: the source side
-    of a minimum cut).
-    """
-    adjacency = [set(out) for out in cap]
-    residual = [dict(out) for out in cap]
-    for u, out in enumerate(cap):
-        for v in out:
-            adjacency[v].add(u)
-            residual[v].setdefault(u, 0)
-    value = 0
-    while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in parent and residual[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            flow = {(u, v): c - residual[u][v] for u, out in enumerate(cap) for v, c in out.items()}
-            return value, flow, set(parent)
-        path = []
-        v = sink
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        push = min(residual[u][v] for u, v in path)
-        for u, v in path:
-            residual[u][v] -= push
-            residual[v][u] += push
-        value += push
+            cap[c][C + r] = _block_rank_bound(spec, j, i)
+        for r, size in enumerate(self.row_sizes):
+            cap[C + r][T] = size
+        # the BFS visits neighbours in set order; certificates and cuts depend on it
+        adjacency = [set(out) for out in cap]
+        residual = [dict(out) for out in cap]
+        for u, out in enumerate(cap):
+            for v in out:
+                adjacency[v].add(u)
+                residual[v].setdefault(u, 0)
+        value = 0
+        while True:
+            parent = {S: None}
+            queue = deque([S])
+            while queue and T not in parent:
+                u = queue.popleft()
+                for v in adjacency[u]:
+                    if v not in parent and residual[u][v] > 0:
+                        parent[v] = u
+                        queue.append(v)
+            if T not in parent:
+                break
+            path = []
+            v = T
+            while parent[v] is not None:
+                path.append((parent[v], v))
+                v = parent[v]
+            push = min(residual[u][v] for u, v in path)
+            for u, v in path:
+                residual[u][v] -= push
+                residual[v][u] += push
+            value += push
+        flow = {(r, c): cap[c][C + r] - residual[c][C + r] for r, c in self.entries}
+        return (value, flow, [r for r in range(R) if C + r in parent],
+                [c for c in range(C) if c in parent])
 
 
 def _offsets(sizes) -> tuple:

@@ -3,12 +3,15 @@
 The core test asks for reduced cross ranks whose row and column sums equal
 every user's antenna count.  That is a transportation-polytope feasibility
 question (supply M_i at each transmitter, demand M_j at each receiver, arc
-capacities D[j][i]), decided here by max-flow with augmenting paths;
-integral capacities make the optimum integral, so a saturating flow *is* a
-certificate.  On top of that sit the explicit 3-user inequality form, the
-symmetric-necessity classification, the boundary cases that certify
-optimality without any certificate, and the allocation rules that recover
-the earlier full-rank / uniform-rank results.
+capacities D[j][i]), and its network is the block max flow of the stripped
+pattern, ``spec_pattern(spec).max_flow``: transmitters are its block
+columns, receivers its block rows.  Integral capacities make the optimum
+integral, so a saturating flow *is* a certificate, and by Lemma 1 it exists
+exactly when the stripped matrix is generically full rank; the earlier
+full-rank and uniform-rank results are special cases of that flow.  On top
+of that sit the explicit 3-user inequality form, the symmetric-necessity
+classification and the boundary cases that certify optimality without any
+certificate.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from .channel_model import NetworkSpec, _json_frac
 from .errors import (
     CertificateInfeasible,
     ConditionFails,
-    DominantUser,
     NotSquareCase,
     NotSymmetric,
     WrongK,
 )
-from .exact_linalg import _max_flow, generic_rank
+from .exact_linalg import generic_rank, spec_pattern
 
 OPTIMAL_CERTIFIED = "OPTIMAL_CERTIFIED"
 MORE_THAN_HALF_POSSIBLE = "MORE_THAN_HALF_POSSIBLE"
@@ -94,52 +96,34 @@ def validate_certificate(spec: NetworkSpec, cert: ReducedRankCertificate
 # ---------------------------------------------------------------------------
 
 
-def _max_flow_transportation(spec: NetworkSpec):
-    """Max flow on source -> tx_i -> rx_j -> sink.
+def _lemma1_flow(spec: NetworkSpec):
+    """Lemma 1's max flow: (value, certificate or None, min cut).
 
-    Returns (value, certificate or None, tx/rx nodes reachable in the
-    final residual graph).  The certificate holds the cross flows when the
-    flow saturates every supply; otherwise the reachable sets describe a
-    minimum cut.
+    The certificate holds the cross flows when the flow saturates every
+    supply; otherwise the transmitters (block columns) and receivers
+    (block rows) reachable in the final residual graph describe a minimum
+    cut.
     """
     if not spec.is_square:
         raise NotSquareCase("reduced-rank sums are defined for the square case")
-    K = spec.K
-    S, T = 2 * K, 2 * K + 1
-    cap: List[Dict[int, int]] = [dict() for _ in range(2 * K + 2)]
-    for i in range(K):
-        cap[S][i] = spec.M[i]
-        cap[K + i][T] = spec.M[i]
-        for j in range(K):
-            if j != i and spec.D[j][i] > 0:
-                cap[i][K + j] = spec.D[j][i]
-    value, flow, reach = _max_flow(cap, S, T)
-    reach_tx = [i for i in range(K) if i in reach]
-    reach_rx = [j for j in range(K) if K + j in reach]
-    return value, _flow_certificate(spec, value, flow), (reach_tx, reach_rx)
-
-
-def _flow_certificate(spec: NetworkSpec, value: int, flow
-                      ) -> Optional[ReducedRankCertificate]:
-    """Cross flows as reduced ranks when the flow saturates, else None."""
-    if value != spec.M_sigma:
-        return None
-    K = spec.K
-    rows = [[0] * K for _ in range(K)]
-    for (u, v), f in flow.items():
-        if u < K and K <= v < 2 * K:
-            rows[v - K][u] = f
-    return validate_certificate(spec, ReducedRankCertificate.from_rows(rows))
+    value, flow, reach_rx, reach_tx = spec_pattern(spec).max_flow(spec)
+    cert = None
+    if value == spec.M_sigma:
+        rows = [[0] * spec.K for _ in range(spec.K)]
+        for (j, i), f in flow.items():
+            rows[j][i] = f
+        cert = validate_certificate(spec, ReducedRankCertificate.from_rows(rows))
+    return value, cert, (reach_tx, reach_rx)
 
 
 def reduced_rank_feasible(spec: NetworkSpec) -> Optional[ReducedRankCertificate]:
     """Reduced ranks with exact row/column sums, or None when none exist."""
-    return _max_flow_transportation(spec)[1]
+    return _lemma1_flow(spec)[1]
 
 
 def feasibility_evidence(spec: NetworkSpec) -> dict:
     """Max-flow value plus a certificate (feasible) or a min cut (infeasible)."""
-    value, cert, (reach_tx, reach_rx) = _max_flow_transportation(spec)
+    value, cert, (reach_tx, reach_rx) = _lemma1_flow(spec)
     out = {"feasible": cert is not None, "max_flow": value, "required": spec.M_sigma}
     if cert is None:
         out["cut"] = {
@@ -277,64 +261,6 @@ def assign_reduced_ranks_3user(spec: NetworkSpec) -> ReducedRankCertificate:
         for b in range(3):
             if a != b:
                 rows[perm[a]][perm[b]] = reduced[a][b]
-    return validate_certificate(spec, ReducedRankCertificate.from_rows(rows))
-
-
-# ---------------------------------------------------------------------------
-# allocations recovering earlier results
-# ---------------------------------------------------------------------------
-
-
-def greedy_chip_allocation(spec: NetworkSpec) -> ReducedRankCertificate:
-    """Sequential chip-into-bin allocation for full-rank cross channels.
-
-    Users are processed in descending antenna order; each transmitter drops
-    its chips into the following receivers' bins (cyclically, skipping its
-    own).  Works whenever no user has more antennas than all others
-    combined.
-    """
-    if not spec.is_square:
-        raise NotSquareCase("chip allocation is defined for the square case")
-    for j in range(spec.K):
-        for i in range(spec.K):
-            if i != j and spec.D[j][i] != min(spec.M[i], spec.M[j]):
-                raise ConditionFails("chip allocation expects full-rank cross channels")
-    K = spec.K
-    order = sorted(range(K), key=lambda k: (-spec.M[k], k))
-    if spec.M[order[0]] > sum(spec.M) - spec.M[order[0]]:
-        raise DominantUser(
-            f"user {order[0] + 1} has more antennas than all others combined"
-        )
-    space = {k: spec.M[k] for k in range(K)}
-    rows = [[0] * K for _ in range(K)]
-    for pos, tx in enumerate(order):
-        chips = spec.M[tx]
-        for step in range(1, K):
-            rx = order[(pos + step) % K]
-            drop = min(chips, space[rx])
-            rows[rx][tx] += drop
-            space[rx] -= drop
-            chips -= drop
-            if chips == 0:
-                break
-        if chips:
-            raise CertificateInfeasible("chip allocation left undropped chips")
-    return validate_certificate(spec, ReducedRankCertificate.from_rows(rows))
-
-
-def symmetric_allocation(K: int, M: int, D: int) -> ReducedRankCertificate:
-    """Near-uniform allocation for K users with M antennas and cross rank D each."""
-    if K < 2 or M < 1 or D < 0:
-        raise ConditionFails("need K >= 2, M >= 1, D >= 0")
-    if (K - 1) * D < M:
-        raise ConditionFails(f"(K-1)*D = {(K - 1) * D} < M = {M}")
-    q, delta = divmod(M, K - 1)
-    rows = [[0] * K for _ in range(K)]
-    for i in range(K):
-        for step in range(1, K):
-            j = (i + step) % K
-            rows[j][i] = q + 1 if step <= delta else q
-    spec = NetworkSpec.square([M] * K, {(j, i): D for j in range(K) for i in range(K) if i != j})
     return validate_certificate(spec, ReducedRankCertificate.from_rows(rows))
 
 

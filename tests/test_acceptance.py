@@ -6,9 +6,7 @@ lines and timings.
 
 import time
 from fractions import Fraction
-from itertools import product
-
-import numpy as np
+from itertools import combinations_with_replacement, product
 
 from halfcake import (
     NetworkSpec,
@@ -20,7 +18,6 @@ from halfcake import (
     ergodic_half_cake,
     extend_ergodic_pair,
     generic_rank,
-    greedy_chip_allocation,
     half_cake_verdict,
     lemma1_equivalence_run,
     lift_scheme,
@@ -28,12 +25,10 @@ from halfcake import (
     random_square_spec,
     reduced_rank_feasible,
     scheme_for_cd_violation,
-    symmetric_allocation,
     validate_certificate,
     verify_scheme,
 )
 from halfcake import presets
-from halfcake.errors import ConditionFails
 
 
 class _gate:
@@ -141,34 +136,31 @@ def test_acceptance_5_polytope_equivalence_and_symmetric_schemes():
 
 
 def test_acceptance_6_prior_work_allocations():
-    with _gate(6, "chip and uniform allocations", 60.0):
-        rng = np.random.default_rng(6)
-        done = 0
-        while done < 50:
-            K = int(rng.integers(2, 6))
-            M = [int(rng.integers(1, 9)) for _ in range(K)]
-            if max(M) > sum(M) - max(M):
-                continue
+    with _gate(6, "full-rank and uniform-rank results as facts of Lemma 1's flow", 60.0):
+        # full-rank cross channels: feasible iff no user has more antennas
+        # than all the others combined (every M in 1..6 for K <= 5, every
+        # sorted M for K = 6)
+        specs = [M for K in range(2, 6) for M in product(range(1, 7), repeat=K)]
+        specs += list(combinations_with_replacement(range(1, 7), 6))
+        for M in specs:
             spec = NetworkSpec.square(M)
-            validate_certificate(spec, greedy_chip_allocation(spec))
-            done += 1
+            cert = reduced_rank_feasible(spec)
+            assert (cert is not None) == (max(M) <= sum(M) - max(M)), M
+            if cert is not None:
+                validate_certificate(spec, cert)
+        assert len(specs) == 9786
 
-        for K in range(2, 7):
-            for M in range(1, 9):
-                for D in range(0, M + 1):
-                    if (K - 1) * D >= M:
-                        cert = symmetric_allocation(K, M, D)
-                        assert cert.tx_sums() == (M,) * K
-                        assert cert.rx_sums() == (M,) * K
-                        assert all(cert.entry(j, i) <= D
-                                   for j in range(K) for i in range(K) if i != j)
-                    else:
-                        try:
-                            symmetric_allocation(K, M, D)
-                        except ConditionFails:
-                            pass
-                        else:
-                            raise AssertionError((K, M, D))
+        # uniform cross rank D among K users with M antennas each:
+        # feasible iff (K-1)*D >= M
+        grid = [(K, M, D) for K in range(2, 8) for M in range(1, 10) for D in range(M + 1)]
+        for K, M, D in grid:
+            spec = NetworkSpec.square(
+                [M] * K, {(j, i): D for j in range(K) for i in range(K) if i != j})
+            cert = reduced_rank_feasible(spec)
+            assert (cert is not None) == ((K - 1) * D >= M), (K, M, D)
+            if cert is not None:
+                validate_certificate(spec, cert)
+        assert len(grid) == 324
 
 
 def test_acceptance_7_boundary_cases():

@@ -14,8 +14,8 @@ from halfcake import (
     assemble,
     canonical_realization,
     extend_ergodic_pair,
-    greedy_chip_allocation,
     rank_mod_p,
+    reduced_rank_feasible,
     sample_generic,
     strip_desired,
     validate_spec,
@@ -190,7 +190,7 @@ def test_canonical_two_user_antidiagonal():
 
 def test_canonical_from_chip_allocation():
     spec = NetworkSpec.square((5, 3, 2))
-    cert = greedy_chip_allocation(spec)
+    cert = reduced_rank_feasible(spec)
     real = canonical_realization(spec, cert)
     _permutation_checks(real)
     assert rank_mod_p(strip_desired(real), MERSENNE61) == 10

@@ -269,6 +269,18 @@ BAD_INPUTS = {
 }
 
 
+def test_analyze_refuses_an_oversized_search_before_the_verdict(tmp_path, monkeypatch, capsys):
+    from halfcake import NetworkSpec, cli
+
+    def no_verdict(*args, **kwargs):
+        raise AssertionError("half_cake_verdict ran before the search was refused")
+
+    monkeypatch.setattr(cli, "half_cake_verdict", no_verdict)
+    spec = _write_spec(tmp_path, NetworkSpec.square((1,) * 12))
+    assert main(["analyze", "--spec", spec]) == 2
+    _one_error_line(capsys)
+
+
 def test_reproduce_bad_tol_exits_2(capsys):
     assert main(["reproduce", "theorem5", "--tol", "-1"]) == 2
     captured = capsys.readouterr()

@@ -12,7 +12,6 @@ from halfcake import (
     ScalarDomain,
     contiguous_partition,
     cooperate,
-    feasibility_evidence,
     generic_rank,
     left_null_space_basis,
     null_space_basis,
@@ -499,13 +498,6 @@ def test_flow_cap_bounds_every_trial_and_ends_trials_exactly():
         assert generic_rank_pattern(spec, pattern, trials=8, seed=n) == max(ranks)
         stopped_early += max(ranks) == flow < structural
     assert stopped_early >= 8  # the flow, not the structural cap, ends these trials
-
-
-def test_flow_cap_of_stripped_pattern_is_lemma1_max_flow():
-    for t in range(60):
-        spec = random_square_spec((t, 0xF3), K_min=2, K_max=6, M_max=6)
-        assert (spec_pattern(spec).flow_cap(spec)
-                == feasibility_evidence(spec)["max_flow"])
 
 
 def test_rng_from_matches_default_rng_of_seed_key():

@@ -1,4 +1,4 @@
-"""Feasibility conditions: flow, 3-user inequalities, allocations, verdicts."""
+"""Feasibility conditions: flow, 3-user inequalities, closed forms, verdicts."""
 
 import hashlib
 import json
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from halfcake import (
+    BlockPattern,
     NetworkSpec,
     ReducedRankCertificate,
     assign_reduced_ranks_3user,
@@ -17,18 +18,16 @@ from halfcake import (
     classify_symmetric_3user,
     evaluate_cd_inequalities,
     feasibility_evidence,
-    greedy_chip_allocation,
     half_cake_verdict,
     necessity_reduction,
     random_square_spec,
     reduced_rank_feasible,
-    symmetric_allocation,
     validate_certificate,
 )
 from halfcake import presets
+from halfcake.exact_linalg import spec_pattern
 from halfcake.errors import (
     ConditionFails,
-    DominantUser,
     NotSquareCase,
     NotSymmetric,
     WrongK,
@@ -89,12 +88,10 @@ def test_flow_counterexample_infeasible(counterexample_spec):
 
 
 def test_feasibility_evidence_runs_one_max_flow(monkeypatch, reduced_spec):
-    from halfcake import rank_feasibility
-
     calls = []
-    flow = rank_feasibility._max_flow_transportation
-    monkeypatch.setattr(rank_feasibility, "_max_flow_transportation",
-                        lambda spec: calls.append(spec) or flow(spec))
+    flow = BlockPattern.max_flow
+    monkeypatch.setattr(BlockPattern, "max_flow",
+                        lambda pattern, spec: calls.append(spec) or flow(pattern, spec))
     evidence = feasibility_evidence(reduced_spec)
     assert len(calls) == 1
     assert evidence["certificate"] == reduced_rank_feasible(reduced_spec).to_json()
@@ -105,6 +102,35 @@ def test_flow_reduced_example_certificate(reduced_spec):
     assert cert is not None
     assert cert.rx_sums() == (10, 8, 6) and cert.tx_sums() == (10, 8, 6)
     validate_certificate(reduced_spec, cert)
+
+
+def _flow_corpus():
+    """The 2 404 specs that ``FLOW_DIGEST`` pins: square presets, then random specs."""
+    for build in presets.NETWORKS.values():
+        spec = build()
+        if spec.is_square:
+            yield spec
+    for t in range(2000):
+        yield random_square_spec((23, t), K_max=12, M_max=6)
+    for t in range(400):
+        yield random_square_spec((24, t))
+
+
+#: SHA-256 of the newline-joined ``feasibility_evidence`` reports (JSON with
+#: sorted keys: max flow, certificate or min cut) over ``_flow_corpus()``,
+#: recorded with the transmitters-first transportation network this replaced
+FLOW_DIGEST = "e3db4de04990752186cd42a53cab86ed0f9608614a5077d5f147e4e0791939ea"
+
+
+def test_feasibility_evidence_pinned_on_corpus():
+    texts = []
+    for spec in _flow_corpus():
+        evidence = feasibility_evidence(spec)
+        # Lemma 1's flow is the block max flow of the stripped pattern
+        assert spec_pattern(spec).flow_cap(spec) == evidence["max_flow"]
+        texts.append(json.dumps(evidence, sort_keys=True))
+    assert len(texts) == 2404 and sum('"feasible": true' in t for t in texts) == 1150
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == FLOW_DIGEST
 
 
 def test_flow_two_user_forced():
@@ -222,37 +248,31 @@ def test_assign_valid_on_random_in_polytope_specs():
 
 
 # ---------------------------------------------------------------------------
-# allocations
+# prior-work special cases, decided by the flow
 # ---------------------------------------------------------------------------
 
 
 def test_chips_5_3_2():
-    cert = greedy_chip_allocation(NetworkSpec.square((5, 3, 2)))
+    # full rank with M_1 = M_2 + M_3: user 1's links are forced, so the certificate is unique
+    cert = reduced_rank_feasible(NetworkSpec.square((5, 3, 2)))
     assert cert.to_json() == [[None, 3, 2], [3, None, 0], [2, 0, None]]
 
 
-def test_chips_two_user():
-    cert = greedy_chip_allocation(NetworkSpec.square((4, 4)))
-    assert cert.entry(0, 1) == 4 and cert.entry(1, 0) == 4
-
-
 def test_chips_equal_three():
-    cert = greedy_chip_allocation(NetworkSpec.square((3, 3, 3)))
+    cert = reduced_rank_feasible(NetworkSpec.square((3, 3, 3)))
     assert cert.rx_sums() == (3, 3, 3) and cert.tx_sums() == (3, 3, 3)
 
 
 def test_chips_dominant_user_rejected():
-    with pytest.raises(DominantUser):
-        greedy_chip_allocation(NetworkSpec.square((8, 3, 2)))
-
-
-def test_chips_requires_full_rank_cross():
-    with pytest.raises(ConditionFails):
-        greedy_chip_allocation(NetworkSpec.square((3, 3, 3), {(0, 1): 1}))
+    spec = NetworkSpec.square((8, 3, 2))
+    assert reduced_rank_feasible(spec) is None
+    evidence = feasibility_evidence(spec)
+    assert evidence["max_flow"] == 10 and evidence["required"] == 13
 
 
 def test_symmetric_allocation_4_5_2():
-    cert = symmetric_allocation(4, 5, 2)
+    spec = NetworkSpec.square([5] * 4, {(j, i): 2 for j in range(4) for i in range(4) if i != j})
+    cert = reduced_rank_feasible(spec)
     for i in range(4):
         col = sorted((cert.entry(j, i) for j in range(4) if j != i), reverse=True)
         assert col == [2, 2, 1]
@@ -260,13 +280,14 @@ def test_symmetric_allocation_4_5_2():
 
 
 def test_symmetric_allocation_exact_division():
-    cert = symmetric_allocation(3, 4, 2)
+    spec = NetworkSpec.square([4] * 3, {(j, i): 2 for j in range(3) for i in range(3) if i != j})
+    cert = reduced_rank_feasible(spec)
     assert all(cert.entry(j, i) == 2 for j in range(3) for i in range(3) if i != j)
 
 
 def test_symmetric_allocation_condition_fails():
-    with pytest.raises(ConditionFails):
-        symmetric_allocation(3, 4, 1)
+    spec = NetworkSpec.square([4] * 3, {(j, i): 1 for j in range(3) for i in range(3) if i != j})
+    assert reduced_rank_feasible(spec) is None
 
 
 # ---------------------------------------------------------------------------
