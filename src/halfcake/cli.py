@@ -34,7 +34,7 @@ from .channel_model import (
 from .errors import HalfCakeError, InvalidArgument, UnknownTarget
 from .exact_linalg import ScalarDomain, generic_rank
 from .rank_feasibility import (
-    feasibility_evidence,
+    feasibility_report,
     half_cake_verdict,
     lemma1_equivalence_run,
 )
@@ -96,9 +96,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_feasibility(args) -> int:
     spec = _load_spec(args.spec)
-    evidence = feasibility_evidence(spec)
-    verdict = half_cake_verdict(spec, seed=args.seed, trials=args.trials)
-    _emit({"feasibility": evidence, "verdict": verdict.to_json()}, args.out)
+    _emit(feasibility_report(spec), args.out)
     return 0
 
 

@@ -25,11 +25,12 @@ from .channel_model import NetworkSpec, _json_frac
 from .errors import (
     CertificateInfeasible,
     ConditionFails,
+    InvalidArgument,
     NotSquareCase,
     NotSymmetric,
     WrongK,
 )
-from .exact_linalg import generic_rank, spec_pattern
+from .exact_linalg import generic_rank_pattern, spec_pattern
 
 OPTIMAL_CERTIFIED = "OPTIMAL_CERTIFIED"
 MORE_THAN_HALF_POSSIBLE = "MORE_THAN_HALF_POSSIBLE"
@@ -121,9 +122,8 @@ def reduced_rank_feasible(spec: NetworkSpec) -> Optional[ReducedRankCertificate]
     return _lemma1_flow(spec)[1]
 
 
-def feasibility_evidence(spec: NetworkSpec) -> dict:
-    """Max-flow value plus a certificate (feasible) or a min cut (infeasible)."""
-    value, cert, (reach_tx, reach_rx) = _lemma1_flow(spec)
+def _evidence(spec: NetworkSpec, flow) -> dict:
+    value, cert, (reach_tx, reach_rx) = flow
     out = {"feasible": cert is not None, "max_flow": value, "required": spec.M_sigma}
     if cert is None:
         out["cut"] = {
@@ -132,6 +132,11 @@ def feasibility_evidence(spec: NetworkSpec) -> dict:
         }
     out["certificate"] = cert.to_json() if cert else None
     return out
+
+
+def feasibility_evidence(spec: NetworkSpec) -> dict:
+    """Max-flow value plus a certificate (feasible) or a min cut (infeasible)."""
+    return _evidence(spec, _lemma1_flow(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +274,22 @@ def assign_reduced_ranks_3user(spec: NetworkSpec) -> ReducedRankCertificate:
 # ---------------------------------------------------------------------------
 
 
+def _generically_full(spec: NetworkSpec, trials: int, seed) -> bool:
+    """Whether the stripped matrix is generically full rank (rank M_sigma).
+
+    ``structural_cap`` is a cut, so no instantiation's rank exceeds it: a
+    spec whose cap is below M_sigma is answered without sampling, and the
+    answer is the one ``generic_rank(spec, trials, seed) == spec.M_sigma``
+    gives.  Every other spec is sampled with that seed.
+    """
+    if trials < 1:
+        raise InvalidArgument(f"trials must be >= 1, got {trials}")
+    pattern = spec_pattern(spec)
+    if pattern.structural_cap(spec) < spec.M_sigma:
+        return False
+    return generic_rank_pattern(spec, pattern, trials, seed) == spec.M_sigma
+
+
 def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8
                         ) -> Optional[ReducedRankCertificate]:
     """Extract a certificate by greedily lowering cross ranks.
@@ -281,10 +302,16 @@ def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8
     certificate.  Different visiting orders can produce different (all
     valid) certificates.  Returns None when the stripped matrix is not
     generically full rank.
+
+    A spec (given or lowered) whose ``structural_cap`` is below M_sigma
+    fails its check without sampling; its generic rank is at most that cap,
+    so the sampled check failed on it too and no certificate changes.  The
+    check index in each lowered check's seed ``(seed, 0xA1, n)`` still
+    advances on such a spec, so every later check keeps its seed.
     """
     if not spec.is_square:
         raise NotSquareCase("reduction is defined for the square case")
-    if generic_rank(spec, trials=trials, seed=seed) != spec.M_sigma:
+    if not _generically_full(spec, trials, seed):
         return None
     D = [list(row) for row in spec.D]
     checks = count()
@@ -293,7 +320,7 @@ def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8
             while i != j and D[j][i] > 0:
                 D[j][i] -= 1
                 lowered = NetworkSpec(spec.M, spec.N, tuple(map(tuple, D)))
-                if generic_rank(lowered, trials, (seed, 0xA1, next(checks))) != spec.M_sigma:
+                if not _generically_full(lowered, trials, (seed, 0xA1, next(checks))):
                     D[j][i] += 1
                     break
     return validate_certificate(spec, ReducedRankCertificate.from_rows(D))
@@ -309,7 +336,11 @@ def lemma1_equivalence_run(seed: int = 0, trials: int = 8) -> dict:
     random square specs of 2 to 4 users with 1 to 5 antennas each.
 
     The two must agree on every instance; any disagreement is returned with
-    its seed for inspection.
+    its seed for inspection.  The rank side is answered without sampling on
+    a spec whose ``structural_cap`` is below M_sigma (183 of the 200 at seed
+    0): that cap is a cut, so the generic rank is below M_sigma too and the
+    answer is the sampled one.  It reads the cap, never the flow, so the
+    flow is still checked against an independent rank test.
     """
     from .channel_model import random_square_spec
 
@@ -319,7 +350,7 @@ def lemma1_equivalence_run(seed: int = 0, trials: int = 8) -> dict:
     for t in range(count):
         spec = random_square_spec((seed, t))
         flow_ok = reduced_rank_feasible(spec) is not None
-        rank_ok = generic_rank(spec, trials=trials, seed=(seed, t)) == spec.M_sigma
+        rank_ok = _generically_full(spec, trials, (seed, t))
         feasible_count += flow_ok
         if flow_ok != rank_ok:
             disagreements.append({"seed": t, "spec": spec.to_json(),
@@ -407,11 +438,30 @@ def _exceeding_scheme_notes(spec: NetworkSpec) -> List[str]:
 
 
 def half_cake_verdict(spec: NetworkSpec, seed: int = 0, trials: int = 8) -> HalfCakeVerdict:
-    """Dispatch the optimality conditions, strongest evidence first."""
+    """Dispatch the optimality conditions, strongest evidence first: Lemma 1's
+    flow certificate, then (3 users) the boundary cases and the symmetric
+    classification.  It runs one max flow; ``seed`` and ``trials`` are
+    accepted for a uniform call signature and sample nothing.
+    """
     if not spec.is_square:
         raise NotSquareCase("half-the-cake verdicts are defined for the square case")
+    return _verdict(spec, reduced_rank_feasible(spec))
+
+
+def feasibility_report(spec: NetworkSpec) -> dict:
+    """``halfcake feasibility``'s report from one max flow:
+    ``{"feasibility": feasibility_evidence(spec), "verdict":
+    half_cake_verdict(spec).to_json()}``.
+
+    A non-square spec raises NotSquareCase, as ``feasibility_evidence`` does.
+    """
+    flow = _lemma1_flow(spec)
+    return {"feasibility": _evidence(spec, flow), "verdict": _verdict(spec, flow[1]).to_json()}
+
+
+def _verdict(spec: NetworkSpec, cert: Optional[ReducedRankCertificate]) -> HalfCakeVerdict:
+    """The verdict on a square spec given Lemma 1's certificate, or None."""
     half = spec.half_cake
-    cert = reduced_rank_feasible(spec)
     if cert is not None:
         return HalfCakeVerdict(OPTIMAL_CERTIFIED, half, certificate=cert,
                                witnesses=("Lemma1-flow",), bound=half)

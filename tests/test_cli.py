@@ -116,6 +116,42 @@ def test_feasibility_counterexample(tmp_path, counterexample_spec, capsys):
     assert report["feasibility"]["cut"]["tx_source_side"] == [1, 2]
 
 
+def _feasibility_specs():
+    """The README network, the reduced example and 30 seeded random specs."""
+    from halfcake import NetworkSpec, presets, random_square_spec
+
+    yield NetworkSpec.from_json({"K": 3, "M": [10, 8, 6], "N": [10, 8, 6],
+                                 "D": [[None, 6, 6], [5, None, 6], [6, 6, None]]})
+    yield presets.reduced_example_network()
+    for t in range(30):
+        yield random_square_spec((31, t))
+
+
+def test_feasibility_runs_one_max_flow(tmp_path, monkeypatch, capsys):
+    """The command's report is the evidence and the verdict, from one flow."""
+    from halfcake import BlockPattern, feasibility_evidence, half_cake_verdict
+
+    flows = []
+    max_flow = BlockPattern.max_flow
+    for spec in _feasibility_specs():
+        want = json.dumps({"feasibility": feasibility_evidence(spec),
+                           "verdict": half_cake_verdict(spec).to_json()},
+                          indent=2, sort_keys=True) + "\n"
+        monkeypatch.setattr(BlockPattern, "max_flow",
+                            lambda pattern, spec: flows.append(1) or max_flow(pattern, spec))
+        assert main(["feasibility", "--spec", _write_spec(tmp_path, spec)]) == 0
+        monkeypatch.undo()
+        assert len(flows) == 1 and capsys.readouterr().out == want
+        flows.clear()
+
+
+def test_feasibility_non_square_exits_2_with_the_flow_message(tmp_path, asym_spec, capsys):
+    assert main(["feasibility", "--spec", _write_spec(tmp_path, asym_spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reduced-rank sums are defined for the square case\n"
+
+
 def test_bound_with_plan_file(tmp_path, rect23_spec):
     from halfcake import presets
 

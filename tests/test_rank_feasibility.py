@@ -18,7 +18,9 @@ from halfcake import (
     classify_symmetric_3user,
     evaluate_cd_inequalities,
     feasibility_evidence,
+    generic_rank,
     half_cake_verdict,
+    lemma1_equivalence_run,
     necessity_reduction,
     random_square_spec,
     reduced_rank_feasible,
@@ -365,6 +367,63 @@ def test_necessity_reduction_pinned_on_corpus():
     assert len(certs) == 239 and sum(c is not None for c in certs) == 96
     texts = [json.dumps(None if c is None else c.to_json()) for c in certs]
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == REDUCTION_DIGEST
+
+
+def _count_generic_rank_pattern(monkeypatch) -> list:
+    """Record every ``generic_rank_pattern`` call, made directly or through ``generic_rank``."""
+    from halfcake import exact_linalg, rank_feasibility
+
+    calls = []
+    rank_pattern = exact_linalg.generic_rank_pattern
+    for module in (exact_linalg, rank_feasibility):
+        if hasattr(module, "generic_rank_pattern"):
+            monkeypatch.setattr(module, "generic_rank_pattern",
+                                lambda *a, **kw: calls.append(1) or rank_pattern(*a, **kw))
+    return calls
+
+
+def test_full_rank_checks_work_pinned(monkeypatch):
+    # a spec whose structural cap is below M_sigma is answered without sampling;
+    # sampling every check would make 200 and 1 197 calls
+    calls = _count_generic_rank_pattern(monkeypatch)
+    assert lemma1_equivalence_run(seed=0)["feasible"] == 16
+    assert len(calls) == 17
+    calls.clear()
+    for spec, kwargs in _reduction_corpus():
+        necessity_reduction(spec, **kwargs)
+    assert len(calls) == 587
+
+
+def test_cap_shortcut_equals_the_sampled_answer(monkeypatch):
+    """``_generically_full`` answers as the sampled rank test does on every spec
+    ``lemma1_equivalence_run`` draws at seeds 0-4 and every check
+    ``necessity_reduction`` makes on ``_reduction_corpus()``; one it answers
+    without sampling has generic rank below M_sigma."""
+    from halfcake import rank_feasibility
+
+    full = rank_feasibility._generically_full
+    checks = []
+    monkeypatch.setattr(rank_feasibility, "_generically_full",
+                        lambda spec, trials, seed: checks.append((spec, trials, seed))
+                        or full(spec, trials, seed))
+    for spec, kwargs in _reduction_corpus():
+        necessity_reduction(spec, **kwargs)
+    monkeypatch.undo()
+    assert len(checks) == 1197
+    checks += [(random_square_spec((s, t)), 8, (s, t)) for s in range(5) for t in range(200)]
+    sampled = _count_generic_rank_pattern(monkeypatch)
+    shortcuts = 0
+    for spec, trials, seed in checks:
+        before = len(sampled)
+        answer = full(spec, trials, seed)
+        sampled_at = len(sampled)
+        rank = generic_rank(spec, trials, seed)
+        assert answer == (rank == spec.M_sigma)
+        if sampled_at == before:
+            assert not answer and rank < spec.M_sigma
+            shortcuts += 1
+    # 610 reduction checks, and 183, 188, 191, 194 and 185 lemma1 draws at seeds 0-4
+    assert shortcuts == 610 + 941
 
 
 # ---------------------------------------------------------------------------
