@@ -7,23 +7,18 @@ from .alignment_schemes import (
     counterexample_scheme,
     ergodic_half_cake,
     example2_scheme,
-    lift_scheme,
     scheme_cd1,
     scheme_cd7,
-    scheme_for_cd_violation,
     verify_scheme,
 )
 from .channel_model import (
     ChannelRealization,
     ExtendedRealization,
     NetworkSpec,
-    assemble,
-    canonical_realization,
     extend_ergodic_pair,
     random_square_spec,
     sample_generic,
     single_slot,
-    strip_desired,
     validate_spec,
 )
 from .exact_linalg import (
@@ -41,9 +36,7 @@ from .rank_feasibility import (
     HalfCakeVerdict,
     ReducedRankCertificate,
     SymmetricClassification,
-    assign_reduced_ranks_3user,
     boundary_case_verdict,
-    check_condition_eq5,
     classify_symmetric_3user,
     evaluate_cd_inequalities,
     feasibility_evidence,
@@ -55,18 +48,14 @@ from .rank_feasibility import (
 )
 from .replication_bounds import (
     CooperativeChannel,
-    CreatedNetwork,
     DofBound,
     ReplicatedNetwork,
     ReplicationPlan,
     WeightedBoundStatement,
-    build_created_network,
     build_replicated,
     contiguous_partition,
     cooperate,
-    created_extension,
     outer_bound,
-    realize_replicated,
     search_bounds,
     weighted_dof_bound,
 )

@@ -50,8 +50,6 @@ from .exact_linalg import (
     rng_from,
 )
 from .rank_feasibility import (
-    _FAMILY_OF,
-    CD_TABLE,
     _exceeding_candidates,
     _require_3user_square,
     _require_failing,
@@ -68,10 +66,6 @@ class LinearScheme:
     m: Tuple[int, ...]
     V: Tuple[np.ndarray, ...]
     U: Tuple[np.ndarray, ...]
-
-    @property
-    def dof(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(mk, self.n) for mk in self.m)
 
     @property
     def sum_dof(self) -> Fraction:
@@ -346,18 +340,6 @@ def scheme_cd1(ext: ExtendedRealization, seed: int = 0) -> LinearScheme:
     return LinearScheme(2, (M[0] + 1, M[1], M[2]), tuple(V), tuple(U))
 
 
-def scheme_for_cd_violation(ext: ExtendedRealization, violated: str, seed: int = 0
-                            ) -> LinearScheme:
-    """Build the matching construction for a violated 3-user inequality.
-
-    Relabels users so the violating pair (or receiver) sits in the
-    canonical position, builds the aligned-pair or zero-forcing scheme
-    there, and returns the scheme in the original user order.
-    """
-    perm, kind = CD_TABLE[violated]
-    return _build(ext, perm, _FAMILY_OF[kind], seed)
-
-
 def _build(ext: ExtendedRealization, perm, family: str, seed: int) -> LinearScheme:
     """Build ``family``'s scheme on the relabeled extension, in the original user order."""
     builder = scheme_cd7 if family == "aligned-pair" else scheme_cd1
@@ -439,19 +421,3 @@ def best_exceeding_scheme(ext: ExtendedRealization, seed: int = 0, tol: float = 
         if report.passed:
             return scheme, family, report
     return None
-
-
-# ---------------------------------------------------------------------------
-# replica-wise lifting
-# ---------------------------------------------------------------------------
-
-
-def lift_scheme(scheme: LinearScheme, mu: Sequence[int]) -> LinearScheme:
-    """Reuse each user's beamformer and filter on every one of its replicas."""
-    m, V, U = [], [], []
-    for k, copies in enumerate(mu):
-        for _ in range(int(copies)):
-            m.append(scheme.m[k])
-            V.append(scheme.V[k])
-            U.append(scheme.U[k])
-    return LinearScheme(scheme.n, tuple(m), tuple(V), tuple(U))

@@ -21,14 +21,11 @@ import numpy as np
 from .errors import (
     BadShape,
     DegenerateDesiredDifference,
-    NotSquareCase,
     RankExceedsDimension,
     SpecTooLarge,
 )
 from .exact_linalg import (
-    BlockPattern,
     ScalarDomain,
-    _place_blocks,
     _sample_block,
     rank,
     rng_from,
@@ -284,70 +281,6 @@ def sample_generic(spec: NetworkSpec, seed: int = 0,
             bound = min(spec.M[i], spec.N[j]) if i == j else spec.D[j][i]
             blocks[(j, i)] = _sample_block(rng, spec.N[j], spec.M[i], bound, p)
     return ChannelRealization(spec, domain, blocks, seed)
-
-
-# ---------------------------------------------------------------------------
-# assembled block matrices
-# ---------------------------------------------------------------------------
-
-
-def assemble(real: ChannelRealization, zero_desired: bool = False) -> np.ndarray:
-    """Stack all blocks into the overall N_sigma x M_sigma matrix."""
-    spec = real.spec
-    entries = {(j, i): (j, i) for (j, i) in real.blocks if not (zero_desired and i == j)}
-    return _place_blocks(BlockPattern(spec.N, spec.M, entries), real.blocks, real.domain.dtype)
-
-
-def strip_desired(real: ChannelRealization) -> np.ndarray:
-    """Overall matrix with the desired (diagonal) blocks replaced by zeros."""
-    if not real.spec.is_square:
-        raise NotSquareCase("stripped matrix is defined for the square case M == N")
-    return assemble(real, zero_desired=True)
-
-
-def canonical_realization(spec: NetworkSpec, cert,
-                          domain: ScalarDomain = ScalarDomain.prime_default()
-                          ) -> ChannelRealization:
-    """0/1 realization whose stripped matrix is a permutation matrix.
-
-    Receiver i's antennas are split into consecutive segments sized by the
-    certificate entries for transmitters i+1, i+2, ... (cyclic), and
-    transmitter j's antennas likewise by the entries for receivers
-    j+1, j+2, ...; matching segments are wired with identities.  Cross
-    block (j, i) then has rank exactly cert[j][i] and every antenna is used
-    exactly once, so the stripped matrix has full rank.  ``cert`` is a
-    ``ReducedRankCertificate``.
-    """
-    from .rank_feasibility import validate_certificate  # circular import
-
-    if not spec.is_square:
-        raise NotSquareCase("canonical construction is defined for the square case")
-    K = spec.K
-    Db = validate_certificate(spec, cert).reduced_ranks
-
-    dtype = domain.dtype
-    # segment offsets: at receiver a the segments run over transmitters
-    # b = a+1, ..., a+K-1, at transmitter a over receivers b in the same order
-    rx_start, tx_start = {}, {}
-    for a in range(K):
-        rx_pos = tx_pos = 0
-        for step in range(1, K):
-            b = (a + step) % K
-            rx_start[(a, b)], rx_pos = rx_pos, rx_pos + Db[a][b]
-            tx_start[(b, a)], tx_pos = tx_pos, tx_pos + Db[b][a]
-
-    blocks = {}
-    for j in range(K):
-        for i in range(K):
-            if i == j:
-                blocks[(j, i)] = np.eye(spec.M[i], dtype=dtype)
-                continue
-            blk = np.zeros((spec.M[j], spec.M[i]), dtype=dtype)
-            r0, c0 = rx_start[(j, i)], tx_start[(j, i)]
-            for l in range(Db[j][i]):
-                blk[r0 + l, c0 + l] = 1
-            blocks[(j, i)] = blk
-    return ChannelRealization(spec, domain, blocks, None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ Lemma 1's transportation test, so one builder gives both the rank cap and
 the reduced-rank certificate.
 
 An exact rank mod p is one elimination on rows of Python ints, for any
-p, that follows the sparsity of its input: cooperation matrices of
-replicated networks are mostly zero blocks, since each receiver replica
-hears one replica of each interferer.  Columns are swept in order of their
-nonzero count, fewest first, and a pivot updates only the rows with a
-nonzero in its column, only at its own nonzero columns.  Entries grow as
-nonnegative Python ints and are reduced mod p only where they are tested
-or used as multipliers.  An exact product mod p is one object-array
+prime p below 2**63, that follows the sparsity of its input: cooperation
+matrices of replicated networks are mostly zero blocks, since each
+receiver replica hears one replica of each interferer.  Columns are swept
+in order of their nonzero count, fewest first, and a pivot updates only
+the rows with a nonzero in its column, only at its own nonzero columns.
+Entries grow as nonnegative Python ints and are reduced mod p only where
+they are tested or used as multipliers.  An exact product mod p is one object-array
 product of the residues, whose entries are Python ints.
 
 Numerical work on concrete complex realizations (null spaces for
@@ -154,11 +154,18 @@ class ScalarDomain:
 # exact rank and products over a prime field
 # ---------------------------------------------------------------------------
 
+def _check_modulus(p: int) -> None:
+    """InvalidArgument unless 2 <= p < 2**63, the moduli whose residues fit an
+    int64.  Primality is the caller's contract, as ``ScalarDomain`` checks it."""
+    if not 2 <= p < 1 << 63:
+        raise InvalidArgument(f"modulus must be a prime in [2, 2**63), got {p}")
+
+
 def _residues(A: np.ndarray, mat, p: int) -> np.ndarray:
     """New int64 or uint64 array of the residues in [0, p) of ``mat``, given as
-    ``A = np.asarray(mat)``; p < 2**63.  Entries that are not machine integers
-    (Python ints of any size) are read from ``mat``, which ``A`` may have
-    rounded to floats."""
+    ``A = np.asarray(mat)``; 2 <= p < 2**63.  Entries that are not machine
+    integers (Python ints of any size) are read from ``mat``, which ``A`` may
+    have rounded to floats."""
     if A.dtype.kind == "u":
         return A.astype(np.uint64, copy=False) % np.uint64(p)
     if A.dtype.kind in "ib":
@@ -169,23 +176,24 @@ def _residues(A: np.ndarray, mat, p: int) -> np.ndarray:
 def rank_mod_p(mat, p: int = MERSENNE61) -> int:
     """Exact rank of an integer matrix over the field of integers mod p.
 
-    Sparse-first elimination on rows of Python ints, for every p.  Columns
-    are swept fewest nonzeros first, and a pivot updates only the rows with
-    a nonzero in its column, only at its own nonzero columns.  Entries stay
+    ``p`` must be a prime with 2 <= p < 2**63; a modulus outside that range
+    raises InvalidArgument, and primality is the caller's contract.
+
+    Sparse-first elimination on rows of Python ints.  Columns are swept
+    fewest nonzeros first, and a pivot updates only the rows with a nonzero
+    in its column, only at its own nonzero columns.  Entries stay
     nonnegative and exact without reduction; an entry is reduced mod p only
     when it is zero-tested in the pivot column or multiplies an update as a
     pivot-row entry.
     """
+    _check_modulus(p)
     A = np.asarray(mat)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if 0 in A.shape:
         return 0
-    if p < 1 << 63:
-        R = _residues(A, mat, p)
-        rows = R[:, np.argsort((R != 0).sum(axis=0), kind="stable")].tolist()
-    else:
-        rows = [[int(x) % p for x in row] for row in mat]  # no machine-word counts: input order
+    R = _residues(A, mat, p)
+    rows = R[:, np.argsort((R != 0).sum(axis=0), kind="stable")].tolist()
     n = len(rows[0])
     r = 0
     for c in range(n):
@@ -205,7 +213,12 @@ def rank_mod_p(mat, p: int = MERSENNE61) -> int:
 
 
 def matmul_mod_p(A, B, p: int = MERSENNE61) -> np.ndarray:
-    """Exact product of integer matrices mod p (returned as int64; p < 2**63)."""
+    """Exact product of integer matrices mod p, returned as int64.
+
+    ``p`` must be a prime with 2 <= p < 2**63; a modulus outside that range
+    raises InvalidArgument, and primality is the caller's contract.
+    """
+    _check_modulus(p)
     A_arr, B_arr = np.asarray(A), np.asarray(B)
     (_, k), (k2, _) = A_arr.shape, B_arr.shape
     if k != k2:
@@ -327,7 +340,10 @@ class BlockPattern:
             cap[c][C + r] = _block_rank_bound(spec, j, i)
         for r, size in enumerate(self.row_sizes):
             cap[C + r][T] = size
-        # the BFS visits neighbours in set order; certificates and cuts depend on it
+        # the BFS visits neighbours in set order, so the flow on each block (the
+        # certificate) depends on it; the value does not, and neither does the
+        # reachable set of the final residual graph, the minimal minimum cut,
+        # which is the same for every maximum flow
         adjacency = [set(out) for out in cap]
         residual = [dict(out) for out in cap]
         for u, out in enumerate(cap):

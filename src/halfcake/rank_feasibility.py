@@ -151,15 +151,6 @@ def _require_3user_square(spec: NetworkSpec):
         raise NotSquareCase("3-user conditions and schemes need the square case M == N")
 
 
-def check_condition_eq5(spec: NetworkSpec) -> bool:
-    """3-user min-expression form of the exact-sum condition."""
-    _require_3user_square(spec)
-    M, d = spec.M, spec.cross_rank
-    first = min(M[0] + d(2, 1), M[1] + d(0, 2), M[2] + d(1, 0))
-    second = min(M[2] + d(0, 1), M[0] + d(1, 2), M[1] + d(2, 0))
-    return first + second >= sum(M)
-
-
 # Every 3-user inequality of Theorem 4 is one of three canonical ones, read
 # on a relabeled spec (perm[new] = old, 0-based users):
 #   rx:   D_01 + D_02 >= M_0              receiver 0's inbound cross ranks
@@ -241,32 +232,6 @@ def classify_symmetric_3user(spec: NetworkSpec) -> SymmetricClassification:
                 "EXCEEDS_HALF_CAKE", violated=name, scheme_family=_FAMILY_OF[CD_TABLE[name][1]]
             )
     return SymmetricClassification("HALF_CAKE_OPTIMAL")
-
-
-def assign_reduced_ranks_3user(spec: NetworkSpec) -> ReducedRankCertificate:
-    """Closed-form certificate for 3-user specs satisfying the min-expression condition.
-
-    The formulas assume the second min is attained at the first user's
-    argument; other cases reduce to it by a cyclic relabeling.
-    """
-    _require_3user_square(spec)
-    if not check_condition_eq5(spec):
-        raise ConditionFails("the 3-user sum condition does not hold")
-    d = spec.cross_rank
-    args = [spec.M[k] + d((k + 1) % 3, (k + 2) % 3) for k in range(3)]
-    shift = min(range(3), key=lambda k: (args[k], k))
-    perm = tuple((n + shift) % 3 for n in range(3))  # perm[new] = old
-    ps = spec.permute(perm)
-    M, c = ps.M, ps.cross_rank(1, 2)
-    reduced = [[None, M[0] + c - M[2], M[2] - c],
-               [M[1] - c, None, c],
-               [M[0] + c - M[1], M[1] + M[2] - M[0] - c, None]]
-    rows = [[0] * 3 for _ in range(3)]
-    for a in range(3):
-        for b in range(3):
-            if a != b:
-                rows[perm[a]][perm[b]] = reduced[a][b]
-    return validate_certificate(spec, ReducedRankCertificate.from_rows(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,6 @@ Splitting the replicas into two fully cooperating groups leaves a 2-user
 channel whose cross matrix is assembled from original blocks and zeros;
 its rank turns into the bound (Mbar1 + Nbar2 - rank) / mu for uniform
 replica counts, and into a weighted-sum statement otherwise.
-
-The all-connected variant with uniform random link scalars supports the
-linear-scheme lifting argument and is unique up to those scalars.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import numpy as np
 
 from .channel_model import (
     ChannelRealization,
-    ExtendedRealization,
     NetworkSpec,
     _json_frac,
     _json_int,
@@ -264,17 +260,6 @@ def build_replicated(spec: NetworkSpec, plan: ReplicationPlan) -> ReplicatedNetw
     for (j, beta, i), alpha in plan.assign.items():
         source[(idx[(j, beta)], idx[(i, alpha)])] = (j, i)
     return ReplicatedNetwork(spec, users, source)
-
-
-def realize_replicated(repnet: ReplicatedNetwork, real: ChannelRealization
-                       ) -> ChannelRealization:
-    """Fill the replicated network's blocks from an original realization."""
-    R = len(repnet.users)
-    spec = repnet.rep_spec
-    blocks = {(r, t): real.blocks[repnet.source[(r, t)]] if (r, t) in repnet.source
-              else np.zeros((spec.N[r], spec.M[t]), dtype=real.domain.dtype)
-              for r in range(R) for t in range(R)}
-    return ChannelRealization(spec, real.domain, blocks, real.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -738,66 +723,3 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     # the screening trial reached the flow cap, so it is the generic rank already
     return DofBound(best_key[0], best_key[1], screened, coop.Mbar1, coop.Nbar2, plan,
                     f"generic-prime-field(trials={certify_trials})")
-
-
-# ---------------------------------------------------------------------------
-# all-connected networks for linear-scheme lifting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class CreatedNetwork:
-    """All-connected replica network with uniform random cross scalars."""
-
-    spec: NetworkSpec
-    mu: Tuple[int, ...]
-    rep_spec: NetworkSpec
-    users: Tuple[Replica, ...]
-    scalars: Dict[Tuple[int, int, int, int], float]  # (j, beta, i, alpha) -> [0, 1)
-    seed: int
-
-
-def build_created_network(spec: NetworkSpec, mu: Sequence[int], seed: int = 0
-                          ) -> CreatedNetwork:
-    """Unique-up-to-scalars network where every cross replica pair is connected."""
-    mu = _replica_counts(mu)
-    if len(mu) != spec.K:
-        raise BadShape("need one replica count per user")
-    rng = rng_from(seed, 0xCE)
-    users = tuple((i, a) for i in range(spec.K) for a in range(mu[i]))
-    scalars = {}
-    for j in range(spec.K):
-        for beta in range(mu[j]):
-            for i in range(spec.K):
-                if i == j:
-                    continue
-                for alpha in range(mu[i]):
-                    scalars[(j, beta, i, alpha)] = float(rng.uniform(0.0, 1.0))
-    M = tuple(spec.M[u] for u, _ in users)
-    N = tuple(spec.N[u] for u, _ in users)
-    D = tuple(tuple(None if r == t else 0 if i == j else spec.D[j][i]
-                    for t, (i, _) in enumerate(users))
-              for r, (j, _) in enumerate(users))
-    rep_spec = NetworkSpec(M, N, D)
-    return CreatedNetwork(spec, mu, rep_spec, users, scalars, seed)
-
-
-def created_extension(created: CreatedNetwork, ext: ExtendedRealization
-                      ) -> ExtendedRealization:
-    """Channel realization of the created network lifted from an original extension."""
-    if ext.spec != created.spec:
-        raise BadShape("extension was sampled for a different spec")
-    slots = []
-    for slot in ext.slots:
-        blocks = {}
-        for r, (j, beta) in enumerate(created.users):
-            for t, (i, alpha) in enumerate(created.users):
-                if r == t:
-                    blocks[(r, t)] = slot.blocks[(j, j)]
-                elif i == j:
-                    blocks[(r, t)] = np.zeros((created.rep_spec.N[r], created.rep_spec.M[t]),
-                                              dtype=ext.domain.dtype)
-                else:
-                    blocks[(r, t)] = created.scalars[(j, beta, i, alpha)] * slot.blocks[(j, i)]
-        slots.append(ChannelRealization(created.rep_spec, ext.domain, blocks, created.seed))
-    return ExtendedRealization(tuple(slots))

@@ -10,25 +10,27 @@ from itertools import combinations_with_replacement, product
 
 from halfcake import (
     NetworkSpec,
-    build_created_network,
     classify_symmetric_3user,
-    check_condition_eq5,
     counterexample_scheme,
-    created_extension,
     ergodic_half_cake,
     extend_ergodic_pair,
     generic_rank,
     half_cake_verdict,
     lemma1_equivalence_run,
-    lift_scheme,
     outer_bound,
     random_square_spec,
     reduced_rank_feasible,
-    scheme_for_cd_violation,
     validate_certificate,
     verify_scheme,
 )
 from halfcake import presets
+from paper_constructs import (
+    build_created_network,
+    check_condition_eq5,
+    created_extension,
+    lift_scheme,
+    scheme_for_cd_violation,
+)
 
 
 class _gate:

@@ -1,4 +1,4 @@
-"""Network specs, generic sampling, canonical realizations, extensions."""
+"""Network specs, generic sampling, stripped matrices, canonical realizations, extensions."""
 
 import json
 
@@ -11,13 +11,10 @@ from halfcake import (
     NetworkSpec,
     ReducedRankCertificate,
     ScalarDomain,
-    assemble,
-    canonical_realization,
     extend_ergodic_pair,
     rank_mod_p,
     reduced_rank_feasible,
     sample_generic,
-    strip_desired,
     validate_spec,
 )
 from halfcake.errors import (
@@ -27,6 +24,7 @@ from halfcake.errors import (
     RankExceedsDimension,
 )
 from halfcake.exact_linalg import MERSENNE61, numerical_rank
+from paper_constructs import canonical_realization, strip_desired
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +119,14 @@ def test_prime_sampling_hits_rank_budget_100_seeds(counterexample_spec):
 
 
 # ---------------------------------------------------------------------------
-# stripped / assembled matrices
+# stripped matrices (tests/paper_constructs.py)
 # ---------------------------------------------------------------------------
 
 
 def test_strip_desired_equals_assemble_then_zero(reduced_spec):
     real = sample_generic(reduced_spec, seed=3)
     stripped = strip_desired(real)
-    full = assemble(real).copy()
+    full = np.block([[real.block(j, i) for i in range(3)] for j in range(3)])
     off = np.concatenate([[0], np.cumsum(reduced_spec.M)]).astype(int)
     for k in range(3):
         full[off[k]:off[k + 1], off[k]:off[k + 1]] = 0
@@ -156,7 +154,7 @@ def test_strip_full_small_network_has_full_rank():
 
 
 # ---------------------------------------------------------------------------
-# canonical realizations
+# canonical realizations (tests/paper_constructs.py)
 # ---------------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Kernels: exact prime-field rank, null spaces, generic-rank certification."""
 
+from collections import defaultdict, deque
 from itertools import combinations
 
 import numpy as np
@@ -19,17 +20,22 @@ from halfcake import (
     rank_mod_p,
     random_square_spec,
     sample_generic,
-    strip_desired,
 )
+from halfcake import presets
+from halfcake.errors import InvalidArgument
 from halfcake.exact_linalg import (
+    BlockPattern,
+    _block_rank_bound,
     generic_rank_pattern,
     instantiate_pattern,
+    is_prime,
     matmul_mod_p,
     numerical_rank,
     rng_from,
     seed_key,
     spec_pattern,
 )
+from paper_constructs import strip_desired
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +357,24 @@ def test_rank_accepts_lists_negative_int64_and_big_python_ints(shape, p):
     assert rank_mod_p(huge.tolist(), p) == expected
 
 
-def test_rank_beyond_int64_primes_uses_python_ints():
-    p = (1 << 89) - 1  # Mersenne prime far above 2**63
-    rng = np.random.default_rng(5)
-    for shape in [(4, 4), (25, 25)]:
-        A = [[int(x) * (1 << 40) + 3 for x in row] for row in rng.integers(0, 1 << 40, size=shape)]
-        assert rank_mod_p(A, p) == reference_rank(A, p)
+@pytest.mark.parametrize("p", [(1 << 89) - 1, (1 << 63) + 29, 1 << 63, 1, 0, -7])
+def test_rank_and_product_reject_moduli_outside_2_to_2_63(p):
+    A = [[1, 2], [3, 4]]
+    with pytest.raises(InvalidArgument, match="modulus"):
+        rank_mod_p(A, p)
+    with pytest.raises(InvalidArgument, match="modulus"):
+        matmul_mod_p(A, A, p)
+
+
+def test_rank_and_product_accept_both_ends_of_the_modulus_range():
+    largest = (1 << 63) - 25  # the largest prime below 2**63
+    assert is_prime(largest)
+    rng = np.random.default_rng(63)
+    for p in (2, largest):
+        A = rng.integers(0, min(p, 1 << 62), size=(9, 7), dtype=np.int64)
+        B = rng.integers(-(1 << 62), 1 << 62, size=(7, 8), dtype=np.int64)
+        assert rank_mod_p(A, p) == reference_rank(A.tolist(), p)
+        assert matmul_mod_p(A, B, p).tolist() == reference_product(A, B, p)
 
 
 def test_matmul_matches_python_ints_on_20000_pairs():
@@ -498,6 +516,89 @@ def test_flow_cap_bounds_every_trial_and_ends_trials_exactly():
         assert generic_rank_pattern(spec, pattern, trials=8, seed=n) == max(ranks)
         stopped_early += max(ranks) == flow < structural
     assert stopped_early >= 8  # the flow, not the structural cap, ends these trials
+
+
+def _sorted_order_max_flow(spec, pattern):
+    """Augmenting paths by a BFS that visits neighbours in sorted order, on the
+    network ``BlockPattern.max_flow`` describes: (value, block rows and block
+    columns reachable from the source in the final residual graph)."""
+    R, C = len(pattern.row_sizes), len(pattern.col_sizes)
+    S, T = C + R, C + R + 1
+    residual = defaultdict(int)
+    for c, size in enumerate(pattern.col_sizes):
+        residual[(S, c)] = size
+    for (r, c), (j, i) in pattern.entries.items():
+        residual[(c, C + r)] = _block_rank_bound(spec, j, i)
+    for r, size in enumerate(pattern.row_sizes):
+        residual[(C + r, T)] = size
+    neighbours = defaultdict(set)
+    for u, v in list(residual):
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    value = 0
+    while True:
+        parent = {S: None}
+        queue = deque([S])
+        while queue:
+            u = queue.popleft()
+            for v in sorted(neighbours[u]):
+                if v not in parent and residual[(u, v)] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if T not in parent:
+            return (value, [r for r in range(R) if C + r in parent],
+                    [c for c in range(C) if c in parent])
+        path, v = [], T
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[arc] for arc in path)
+        for u, v in path:
+            residual[(u, v)] -= push
+            residual[(v, u)] += push
+        value += push
+
+
+def _random_block_pattern(t):
+    """(spec, pattern): random block rows and columns, each one user's receiver
+    or transmitter, so cross references repeat; many cross ranks are zero."""
+    rng = np.random.default_rng((0xB10C, t))
+    K = int(rng.integers(2, 5))
+    M = [int(m) for m in rng.integers(1, 6, size=K)]
+    cross = {(j, i): int(rng.integers(0, min(M[i], M[j]) + 1))
+             for j in range(K) for i in range(K) if i != j}
+    spec = NetworkSpec.square(M, cross)
+    rx = rng.integers(0, K, size=int(rng.integers(1, 7)))
+    tx = rng.integers(0, K, size=int(rng.integers(1, 7)))
+    entries = {(r, c): (int(j), int(i)) for r, j in enumerate(rx) for c, i in enumerate(tx)
+               if j != i and rng.random() < 0.7}
+    return spec, BlockPattern(tuple(spec.N[j] for j in rx), tuple(spec.M[i] for i in tx), entries)
+
+
+def test_max_flow_value_and_cut_do_not_depend_on_the_visiting_order():
+    cases = [(spec, spec_pattern(spec)) for spec in (f() for f in presets.NETWORKS.values())
+             if spec.is_square]
+    cases += [(spec, spec_pattern(spec))
+              for spec in (random_square_spec((23, t), K_max=12, M_max=6) for t in range(300))]
+    cases += [_random_block_pattern(t) for t in range(300)]
+    zero_budget = repeated = cut = 0
+    for spec, pattern in cases:
+        value, flow, reach_rows, reach_cols = pattern.max_flow(spec)
+        assert (value, reach_rows, reach_cols) == _sorted_order_max_flow(spec, pattern)
+        # the flow on each block is a feasible flow of that value
+        assert sum(flow.values()) == value
+        for (r, c), (j, i) in pattern.entries.items():
+            assert 0 <= flow[(r, c)] <= _block_rank_bound(spec, j, i)
+        for r, size in enumerate(pattern.row_sizes):
+            assert sum(f for (rr, _), f in flow.items() if rr == r) <= size
+        for c, size in enumerate(pattern.col_sizes):
+            assert sum(f for (_, cc), f in flow.items() if cc == c) <= size
+        refs = list(pattern.entries.values())
+        zero_budget += any(_block_rank_bound(spec, j, i) == 0 for j, i in refs)
+        repeated += len(set(refs)) < len(refs)
+        cut += bool(reach_rows or reach_cols)
+    # zero budgets, repeated references and nonempty cuts are all exercised
+    assert min(zero_budget, repeated, cut) >= 100
 
 
 def test_rng_from_matches_default_rng_of_seed_key():

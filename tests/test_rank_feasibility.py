@@ -12,9 +12,7 @@ from halfcake import (
     BlockPattern,
     NetworkSpec,
     ReducedRankCertificate,
-    assign_reduced_ranks_3user,
     boundary_case_verdict,
-    check_condition_eq5,
     classify_symmetric_3user,
     evaluate_cd_inequalities,
     feasibility_evidence,
@@ -34,6 +32,7 @@ from halfcake.errors import (
     NotSymmetric,
     WrongK,
 )
+from paper_constructs import assign_reduced_ranks_3user, check_condition_eq5
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def test_flow_requires_square(asym_spec):
 
 
 # ---------------------------------------------------------------------------
-# 3-user explicit condition
+# 3-user explicit condition: eq. (5) (tests/paper_constructs.py)
 # ---------------------------------------------------------------------------
 
 
@@ -207,7 +206,7 @@ def test_classify_requires_symmetry(counterexample_spec):
 
 
 # ---------------------------------------------------------------------------
-# closed-form assignment
+# closed-form assignment (tests/paper_constructs.py)
 # ---------------------------------------------------------------------------
 
 

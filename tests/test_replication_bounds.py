@@ -11,14 +11,11 @@ import pytest
 from halfcake import (
     NetworkSpec,
     ReplicationPlan,
-    build_created_network,
     build_replicated,
     contiguous_partition,
     cooperate,
-    created_extension,
     outer_bound,
     random_square_spec,
-    realize_replicated,
     sample_generic,
     search_bounds,
     weighted_dof_bound,
@@ -40,6 +37,8 @@ from halfcake.replication_bounds import (
     _potential_floors,
     candidate_potentials,
 )
+from halfcake.exact_linalg import _place_blocks
+from paper_constructs import build_created_network, created_extension
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +49,20 @@ from halfcake.replication_bounds import (
 def test_identity_plan_reproduces_original(reduced_spec):
     repnet = build_replicated(reduced_spec, ReplicationPlan.identity(3))
     assert repnet.rep_spec == reduced_spec
+    # every replica block, desired ones included, is wired from the block it copies
+    assert repnet.source == {(r, t): (r, t) for r in range(3) for t in range(3)}
+    # the realized cooperation that outer_bound(..., realization=real) ranks
+    # carries each original block in place, under every split of the users
     real = sample_generic(reduced_spec, seed=0)
-    lifted = realize_replicated(repnet, real)
-    for key in real.blocks:
-        assert np.array_equal(lifted.blocks[key], real.blocks[key])
+    for cuts in product((0, 1), repeat=3):
+        if len(set(cuts)) == 1:
+            continue
+        plan = ReplicationPlan.identity(3, contiguous_partition([1, 1, 1], cuts))
+        g1, g2 = plan.partition
+        placed = _place_blocks(cooperate(reduced_spec, plan).pattern, real.blocks,
+                               real.domain.dtype)
+        assert np.array_equal(placed, np.block([[real.blocks[(j, i)] for i, _ in g1]
+                                                for j, _ in g2]))
 
 
 def test_mirror_plan_wires_opposite_copies():
@@ -768,7 +777,7 @@ def test_search_rejects_oversized_floor_tables():
 
 
 # ---------------------------------------------------------------------------
-# created networks
+# created networks (tests/paper_constructs.py)
 # ---------------------------------------------------------------------------
 
 
