@@ -26,8 +26,10 @@ from . import presets
 from .channel_model import (
     ExtendedRealization,
     NetworkSpec,
+    _json_field,
     _json_frac,
     _json_int,
+    _json_list,
     decode_matrix,
     encode_matrix,
 )
@@ -93,19 +95,17 @@ class LinearScheme:
 
     @classmethod
     def from_json(cls, obj: dict, spec: NetworkSpec) -> "LinearScheme":
-        try:
-            n, users = _json_int(obj["n"], "n"), obj["users"]
-            if len(users) != spec.K:
-                raise DimensionMismatch("scheme user count disagrees with the spec")
-            m = tuple(_json_int(entry["m"], "m") for entry in users)
-            if n < 1 or min(m) < 0:
-                raise BadShape(f"need n >= 1 and stream counts m >= 0, got n = {n}, m = {m}")
-            V = tuple(decode_matrix(entry["V"], _COMPLEX, (spec.M[k] * n, m[k]))
-                      for k, entry in enumerate(users))
-            U = tuple(decode_matrix(entry["U"], _COMPLEX, (m[k], spec.N[k] * n))
-                      for k, entry in enumerate(users))
-        except (KeyError, TypeError) as exc:
-            raise BadShape(f"malformed scheme: {exc!r}") from exc
+        n = _json_int(_json_field(obj, "n", "scheme"), "n")
+        users = _json_list(_json_field(obj, "users", "scheme"), "users", spec.K)
+        fields = [[_json_field(entry, key, f"user {k + 1}") for key in "mVU"]
+                  for k, entry in enumerate(users)]
+        m = tuple(_json_int(mk, f"user {k + 1} m") for k, (mk, _, _) in enumerate(fields))
+        if n < 1 or min(m) < 0:
+            raise BadShape(f"need n >= 1 and stream counts m >= 0, got n = {n}, m = {m}")
+        V = tuple(decode_matrix(vk, _COMPLEX, (spec.M[k] * n, m[k]), f"user {k + 1} V")
+                  for k, (_, vk, _) in enumerate(fields))
+        U = tuple(decode_matrix(uk, _COMPLEX, (m[k], spec.N[k] * n), f"user {k + 1} U")
+                  for k, (_, _, uk) in enumerate(fields))
         return cls(n, m, V, U)
 
 

@@ -12,6 +12,7 @@ deterministic in (spec, seed, domain).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -138,15 +139,10 @@ class NetworkSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NetworkSpec":
-        try:
-            M = tuple(_json_int(v, "M") for v in obj["M"])
-            N = tuple(_json_int(v, "N") for v in obj["N"])
-            D = tuple(
-                tuple(None if v is None else _json_int(v, "D") for v in row) for row in obj["D"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise BadShape(f"malformed network spec: {exc}") from exc
-        spec = cls(M, N, D)
+        M, N, D = (_json_list(_json_field(obj, key, "network spec"), key) for key in "MND")
+        spec = cls(tuple(_json_int(v, "M") for v in M), tuple(_json_int(v, "N") for v in N),
+                   tuple(tuple(None if v is None else _json_int(v, "D")
+                               for v in _json_list(row, "D row")) for row in D))
         if "K" in obj and _json_int(obj["K"], "K") != spec.K:
             raise BadShape("declared K disagrees with M length")
         return spec
@@ -155,8 +151,32 @@ class NetworkSpec:
 def _json_int(value, what: str) -> int:
     """A JSON integer; floats, bools, strings and the like raise BadShape."""
     if type(value) is not int:
-        raise BadShape(f"{what}: expected an integer, got {value!r}")
+        raise BadShape(f"{what}: expected an integer, got {_json_text(value)}")
     return value
+
+
+def _json_field(obj, key: str, what: str):
+    """Field ``key`` of the JSON object ``obj``, which ``what`` names; BadShape
+    when ``obj`` is not an object or lacks the field."""
+    if type(obj) is not dict:
+        raise BadShape(f"{what}: expected an object, got {_json_text(obj)}")
+    if key not in obj:
+        raise BadShape(f"{what}: missing field {key!r}")
+    return obj[key]
+
+
+def _json_list(value, what: str, length: Optional[int] = None) -> list:
+    """A JSON array, of ``length`` entries when the format fixes one; else BadShape."""
+    if type(value) is not list or length not in (None, len(value)):
+        size = "" if length is None else f" of {length} entries"
+        raise BadShape(f"{what}: expected an array{size}, got {_json_text(value)}")
+    return value
+
+
+def _json_text(value) -> str:
+    """``value`` as JSON text, cut to one short line for an error message."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _json_frac(value: Fraction) -> dict:
@@ -225,16 +245,15 @@ class ChannelRealization:
 
     @classmethod
     def from_json(cls, obj: dict, spec: NetworkSpec) -> "ChannelRealization":
-        if not isinstance(obj, dict):
-            raise BadShape(f"a channel slot must be a JSON object, got {type(obj).__name__}")
+        if type(obj) is not dict:
+            raise BadShape(f"channel slot: expected an object, got {_json_text(obj)}")
         domain = ScalarDomain.from_tag(obj.get("domain", "complex"))
         blocks = {}
         for j in range(spec.K):
             for i in range(spec.K):
                 key = f"H_{j + 1}_{i + 1}"
-                if key not in obj:
-                    raise BadShape(f"channel file is missing block {key}")
-                blocks[(j, i)] = decode_matrix(obj[key], domain, (spec.N[j], spec.M[i]))
+                blocks[(j, i)] = decode_matrix(_json_field(obj, key, "channel slot"), domain,
+                                               (spec.N[j], spec.M[i]), key)
         return cls(spec, domain, blocks, obj.get("seed"))
 
 
@@ -246,27 +265,29 @@ def encode_matrix(mat: np.ndarray, domain: ScalarDomain):
     return np.asarray(mat).tolist()
 
 
-def decode_matrix(obj, domain: ScalarDomain, shape: Tuple[int, int]) -> np.ndarray:
+def decode_matrix(obj, domain: ScalarDomain, shape: Tuple[int, int],
+                  what: str = "matrix") -> np.ndarray:
     """Inverse of ``encode_matrix``.
 
-    Raises BadShape on a wrong shape, a complex entry that is not an
-    ``[re, im]`` pair of finite numbers, or a residue outside [0, p).
+    Raises BadShape, naming the matrix as ``what``, on a wrong shape, a
+    complex entry that is not an ``[re, im]`` pair of finite numbers, or a
+    residue outside [0, p).
     """
     rows, cols = shape
     if not (isinstance(obj, list) and len(obj) == rows
             and all(isinstance(row, list) and len(row) == cols for row in obj)):
-        raise BadShape(f"matrix is not {rows} rows of {cols} entries")
+        raise BadShape(f"{what}: expected {rows} rows of {cols} entries")
     if not domain.is_complex:
         flat = [x for row in obj for x in row]
         if not all(type(x) is int and 0 <= x < domain.p for x in flat):
-            raise BadShape(f"prime-field entries must be integers in [0, {domain.p})")
+            raise BadShape(f"{what}: prime-field entries must be integers in [0, {domain.p})")
         return np.array(flat, dtype=np.int64).reshape(shape)
     try:
         mat = np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise BadShape(f"complex entries must be [re, im] number pairs: {exc}") from exc
+        raise BadShape(f"{what}: complex entries must be [re, im] number pairs") from exc
     if not np.isfinite(mat).all():
-        raise BadShape("complex entries must be finite")
+        raise BadShape(f"{what}: complex entries must be finite")
     return mat.reshape(shape)
 
 
@@ -338,12 +359,10 @@ class ExtendedRealization:
 
     @classmethod
     def from_json(cls, obj: dict, spec: NetworkSpec) -> "ExtendedRealization":
-        if not isinstance(obj, dict):
-            raise BadShape(f"a channel file must be a JSON object, got {type(obj).__name__}")
-        if "slots" not in obj:
+        if type(obj) is not dict or "slots" not in obj:
             return cls((ChannelRealization.from_json(obj, spec),))
-        if not isinstance(obj["slots"], list) or not obj["slots"]:
-            raise BadShape("channel slots must be a non-empty list")
+        if not _json_list(obj["slots"], "slots"):
+            raise BadShape("slots: expected at least one slot")
         slots = tuple(ChannelRealization.from_json(s, spec) for s in obj["slots"])
         tags = sorted({slot.domain.tag for slot in slots})
         if len(tags) > 1:

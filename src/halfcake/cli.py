@@ -31,7 +31,7 @@ from .channel_model import (
     sample_generic,
     single_slot,
 )
-from .errors import HalfCakeError, InvalidArgument, UnknownTarget
+from .errors import BadShape, HalfCakeError, InvalidArgument, UnknownTarget
 from .exact_linalg import ScalarDomain, generic_rank
 from .rank_feasibility import (
     feasibility_report,
@@ -51,8 +51,13 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _load_json(path: str) -> dict:
+    """The parsed file.  Text that is not UTF-8 JSON raises BadShape, and so
+    does an integer past Python's 4 300-digit conversion limit."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError among them
+            raise BadShape(f"{path}: {exc}") from exc
 
 
 def _load_spec(path: str) -> NetworkSpec:
@@ -310,7 +315,7 @@ def main(argv=None) -> int:
         if not 0 < args.tol < 1:
             raise InvalidArgument(f"tol must lie in (0, 1), got {args.tol}")
         return args.func(args)
-    except (OSError, json.JSONDecodeError, HalfCakeError) as exc:
+    except (OSError, HalfCakeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -163,11 +163,9 @@ def _check_modulus(p: int) -> None:
 
 def _residues(A: np.ndarray, mat, p: int) -> np.ndarray:
     """New int64 or uint64 array of the residues in [0, p) of ``mat``, given as
-    ``A = np.asarray(mat)``; 2 <= p < 2**63.  Entries that are not machine
-    integers (Python ints of any size) are read from ``mat``, which ``A`` may
-    have rounded to floats."""
-    if A.dtype.kind == "u":
-        return A.astype(np.uint64, copy=False) % np.uint64(p)
+    ``A = np.asarray(mat)``; 2 <= p < 2**63.  Entries that are not signed
+    machine integers (Python ints of any size, unsigned ints) are read one by
+    one from ``mat``, which ``A`` may have rounded to floats."""
     if A.dtype.kind in "ib":
         return A.astype(np.int64, copy=False) % p
     return np.array([[int(x) % p for x in row] for row in mat], dtype=np.uint64).reshape(A.shape)
@@ -291,9 +289,6 @@ class BlockPattern:
     def shape(self) -> tuple:
         return (sum(self.row_sizes), sum(self.col_sizes))
 
-    def block_slices(self):
-        return _offsets(self.row_sizes), _offsets(self.col_sizes)
-
     def structural_cap(self, spec) -> int:
         """Cheap upper bound on the generic rank from per-block rank budgets."""
         row_budget = [0] * len(self.row_sizes)
@@ -385,7 +380,7 @@ def _offsets(sizes) -> tuple:
 def _place_blocks(pattern: BlockPattern, blocks: dict, dtype) -> np.ndarray:
     """Dense matrix of ``pattern`` with each entry's reference looked up in ``blocks``."""
     out = np.zeros(pattern.shape, dtype=dtype)
-    r_off, c_off = pattern.block_slices()
+    r_off, c_off = _offsets(pattern.row_sizes), _offsets(pattern.col_sizes)
     for (r, c), ref in pattern.entries.items():
         out[r_off[r] : r_off[r + 1], c_off[c] : c_off[c + 1]] = blocks[ref]
     return out

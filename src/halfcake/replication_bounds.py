@@ -21,8 +21,10 @@ import numpy as np
 from .channel_model import (
     ChannelRealization,
     NetworkSpec,
+    _json_field,
     _json_frac,
     _json_int,
+    _json_list,
 )
 from .errors import (
     BadPartition,
@@ -42,6 +44,9 @@ from .exact_linalg import (
 )
 
 Replica = Tuple[int, int]  # (user, copy), 0-based
+
+#: how a plan file is named in the messages of ``ReplicationPlan.from_json``
+_PLAN = "replication plan"
 
 
 @dataclass(frozen=True)
@@ -109,9 +114,7 @@ class ReplicationPlan:
         return cls.from_shifts([2] * K, shifts, partition)
 
     @classmethod
-    def identity(cls, K: int, partition=None) -> "ReplicationPlan":
-        if partition is None:
-            partition = contiguous_partition([1] * K, [1] + [0] * (K - 1))
+    def identity(cls, K: int, partition) -> "ReplicationPlan":
         shifts = [[0] * K for _ in range(K)]
         return cls.from_shifts([1] * K, shifts, partition)
 
@@ -132,40 +135,31 @@ class ReplicationPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ReplicationPlan":
-        try:
-            mu = tuple(_json_int(m, "mu") for m in obj["mu"])
-            partition = tuple(
-                tuple((_json_int(u, "partition") - 1, _json_int(c, "partition") - 1)
-                      for u, c in group)
-                for group in obj["partition"]
-            )
-            raw = obj["assign"]
-            shifts = table = None
-            if isinstance(raw, dict) and "shifts" in raw:
-                shifts = [[v if i == j else _json_int(v, "shifts") for i, v in enumerate(row)]
-                          for j, row in enumerate(raw["shifts"])]
-                if any(row[j] is not None for j, row in enumerate(shifts) if j < len(row)):
-                    raise BadShape("shifts: a desired link has no shift; the diagonal must be null")
-            elif isinstance(raw, dict) and "table" in raw:
-                table = {}
-                for entry in raw["table"]:
-                    j, b, i, a = (_json_int(v, "table") for v in entry)
-                    if (j - 1, b - 1, i - 1) in table:
-                        raise PlanViolatesDefinition1(
-                            f"receiver ({j},{b}) must hear each interferer once; "
-                            f"the table wires it to user {i} twice")
-                    table[(j - 1, b - 1, i - 1)] = a - 1
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BadShape(f"malformed replication plan: {exc}") from exc
-        if raw == "mirror":
-            if any(m != 2 for m in mu):
-                raise PlanViolatesDefinition1("mirror wiring needs mu = 2 for every user")
-            return cls.mirror(len(mu), partition)
-        if shifts is not None:
+        mu = tuple(_json_int(m, "mu") for m in _json_list(_json_field(obj, "mu", _PLAN), "mu"))
+        partition = tuple(
+            tuple((_json_int(u, "partition") - 1, _json_int(c, "partition") - 1)
+                  for u, c in (_json_list(entry, "partition entry", 2)
+                               for entry in _json_list(group, "partition group")))
+            for group in _json_list(_json_field(obj, "partition", _PLAN), "partition"))
+        raw = _json_field(obj, "assign", _PLAN)
+        if type(raw) is dict and "shifts" in raw:
+            shifts = [[v if i == j else _json_int(v, "shifts")
+                       for i, v in enumerate(_json_list(row, "shifts row"))]
+                      for j, row in enumerate(_json_list(raw["shifts"], "shifts"))]
+            if any(row[j] is not None for j, row in enumerate(shifts) if j < len(row)):
+                raise BadShape("shifts: a desired link has no shift; the diagonal must be null")
             return cls.from_shifts(mu, shifts, partition)
-        if table is not None:
+        if type(raw) is dict and "table" in raw:
+            table = {}
+            for entry in _json_list(raw["table"], "table"):
+                j, b, i, a = (_json_int(v, "table") for v in _json_list(entry, "table entry", 4))
+                if (j - 1, b - 1, i - 1) in table:
+                    raise PlanViolatesDefinition1(
+                        f"receiver ({j},{b}) must hear each interferer once; "
+                        f"the table wires it to user {i} twice")
+                table[(j - 1, b - 1, i - 1)] = a - 1
             return cls(mu, table, _normalize_partition(partition))
-        raise BadShape("unrecognized plan assignment encoding")
+        raise BadShape('assign: expected {"shifts": [...]} or {"table": [...]}')
 
 
 def _normalize_partition(partition) -> Tuple[Tuple[Replica, ...], ...]:
@@ -231,22 +225,6 @@ class ReplicatedNetwork:
     #: (rx index, tx index) into ``users`` -> original (j, i), absent means zero
     source: Dict[Tuple[int, int], Tuple[int, int]]
 
-    @property
-    def rep_spec(self) -> NetworkSpec:
-        """The replicated network as a spec of its own, one user per replica."""
-        spec, users, source = self.spec, self.users, self.source
-        R = len(users)
-        D = tuple(
-            tuple(
-                None if r == t else (spec.D[source[(r, t)][0]][source[(r, t)][1]]
-                                     if (r, t) in source else 0)
-                for t in range(R)
-            )
-            for r in range(R)
-        )
-        return NetworkSpec(tuple(spec.M[u] for u, _ in users),
-                           tuple(spec.N[u] for u, _ in users), D)
-
 
 def build_replicated(spec: NetworkSpec, plan: ReplicationPlan) -> ReplicatedNetwork:
     """Wire the replicated network of a plan with one replica count per user of ``spec``."""
@@ -272,8 +250,6 @@ class CooperativeChannel:
     """2-user channel after full intra-group cooperation."""
 
     Mbar1: int
-    Nbar1: int
-    Mbar2: int
     Nbar2: int
     #: cross matrix from group-1 transmitters to group-2 receivers
     pattern: BlockPattern
@@ -298,8 +274,6 @@ def cooperate(spec: NetworkSpec, plan: ReplicationPlan) -> CooperativeChannel:
     )
     return CooperativeChannel(
         Mbar1=sum(spec.M[u] for u, _ in g1),
-        Nbar1=sum(spec.N[u] for u, _ in g1),
-        Mbar2=sum(spec.M[u] for u, _ in g2),
         Nbar2=sum(spec.N[u] for u, _ in g2),
         pattern=pattern,
     )

@@ -19,6 +19,7 @@ from halfcake import (
     LinearScheme,
     NetworkSpec,
     ReducedRankCertificate,
+    ReplicatedNetwork,
     ScalarDomain,
     validate_certificate,
 )
@@ -137,8 +138,24 @@ def scheme_for_cd_violation(ext: ExtendedRealization, violated: str, seed: int =
 
 
 # ---------------------------------------------------------------------------
-# all-connected networks for linear-scheme lifting
+# replicated and all-connected networks for linear-scheme lifting
 # ---------------------------------------------------------------------------
+
+
+def rep_spec(repnet: ReplicatedNetwork) -> NetworkSpec:
+    """The replicated network as a spec of its own, one user per replica."""
+    spec, users, source = repnet.spec, repnet.users, repnet.source
+    R = len(users)
+    D = tuple(
+        tuple(
+            None if r == t else (spec.D[source[(r, t)][0]][source[(r, t)][1]]
+                                 if (r, t) in source else 0)
+            for t in range(R)
+        )
+        for r in range(R)
+    )
+    return NetworkSpec(tuple(spec.M[u] for u, _ in users),
+                       tuple(spec.N[u] for u, _ in users), D)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -70,6 +71,17 @@ def _one_error_line(capsys):
 def test_analyze_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    assert main(["analyze", "--spec", str(bad)]) == 2
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", [
+    b'{"K": 1, "M": [' + b"1" * 5000 + b'], "N": [1], "D": [[null]]}',  # past int's digit limit
+    b"\xff{}",  # not UTF-8
+], ids=["int-of-5000-digits", "not-utf-8"])
+def test_unparsable_spec_file_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
     assert main(["analyze", "--spec", str(bad)]) == 2
     _one_error_line(capsys)
 
@@ -302,7 +314,44 @@ BAD_INPUTS = {
     "tol-negative-bound": (["bound", "--tol", "-1"], None),
     "tol-negative-feasibility": (["feasibility", "--tol", "-1"], None),
     "tol-negative-sample": (["sample", "--tol", "-1"], None),
+    # files of the wrong shape, each rejected at the field it breaks
+    "scheme-no-users": (["verify"], _edit("scheme", "users", drop=True)),
+    "scheme-users-int": (["verify"], _edit("scheme", "users", value=5)),
+    "scheme-users-ints": (["verify"], _edit("scheme", "users", value=[1, 2])),
+    "scheme-user-no-v": (["verify"], _edit("scheme", "users", 0, "V", drop=True)),
+    "scheme-list": (["verify"], lambda blobs: blobs.update(scheme=[])),
+    "plan-partition-entry-short": (["bound"], _edit("plan", "partition", 0, 0, value=[1])),
+    "plan-table-entry-short": (["bound"], _edit("plan", "assign", value={"table": [
+        [1, 1, 2], [1, 2, 2, 2], [2, 1, 1, 1], [2, 2, 1, 2]]})),
+    "plan-no-mu": (["bound"], _edit("plan", "mu", drop=True)),
+    "plan-shifts-ints": (["bound"], _edit("plan", "assign", "shifts", value=[1, 2])),
+    "spec-M-int": (["analyze"], _edit("spec", "M", value=2)),
+    "spec-no-D": (["analyze"], _edit("spec", "D", drop=True)),
+    "spec-list": (["analyze"], lambda blobs: blobs.update(spec=[])),
+    "spec-D-ints": (["analyze"], _edit("spec", "D", value=[1, 2])),
 }
+
+#: bad input -> what its error line must name
+NAMED_FIELDS = {
+    "scheme-no-users": "'users'",
+    "scheme-users-int": "users",
+    "scheme-users-ints": "user 1",
+    "scheme-user-no-v": "'V'",
+    "scheme-list": "scheme",
+    "plan-list": "plan",
+    "plan-partition-entry-short": "partition entry",
+    "plan-table-entry-short": "table entry",
+    "plan-no-mu": "'mu'",
+    "plan-shifts-ints": "shifts",
+    "spec-M-int": "M",
+    "spec-no-D": "'D'",
+    "spec-list": "spec",
+    "spec-D-ints": "D row",
+}
+
+#: Python's own exception text, which an error line must not pass on
+LEAKED = re.compile(r"Error\(|unpack|not subscriptable|not iterable|indices must be|has no len"
+                    r"|argument must be")
 
 
 def test_analyze_refuses_an_oversized_search_before_the_verdict(tmp_path, monkeypatch, capsys):
@@ -381,6 +430,8 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+    assert not LEAKED.search(lines[0]), lines[0]
+    assert NAMED_FIELDS.get(case, "") in lines[0], lines[0]
 
 
 #: what a fuzzed node may become, besides being deleted or duplicated
@@ -423,14 +474,16 @@ def _fuzz(blob, rng) -> str:
 
 
 def _valid_reduced_blobs() -> dict:
-    """Files of a 3-user reduced-rank spec, with the plan in the ``mirror`` encoding."""
+    """Files of a 3-user reduced-rank spec, with the plan in the ``table`` encoding."""
     from halfcake import NetworkSpec, ReplicationPlan, ergodic_half_cake, extend_ergodic_pair
 
     spec = NetworkSpec.square((2, 2, 2), {(0, 1): 1, (2, 0): 1})
     ext = extend_ergodic_pair(spec, seed=6)
+    plan = ReplicationPlan.mirror(3)
+    table = [[j + 1, b + 1, i + 1, a + 1] for (j, b, i), a in sorted(plan.assign.items())]
     return {"spec": spec.to_json(), "channel": ext.to_json(),
             "scheme": ergodic_half_cake(ext).to_json(),
-            "plan": dict(ReplicationPlan.mirror(3).to_json(), assign="mirror")}
+            "plan": dict(plan.to_json(), assign={"table": table})}
 
 
 def _fuzz_commands(valid, seed, tmp_path, capsys) -> Counter:
@@ -461,6 +514,7 @@ def _fuzz_commands(valid, seed, tmp_path, capsys) -> Counter:
         if code == 2:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (case, command, done, err)
+            assert not LEAKED.search(lines[0]), (case, command, done, err)
         exits[code] += 1
     return exits
 

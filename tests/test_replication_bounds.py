@@ -38,7 +38,7 @@ from halfcake.replication_bounds import (
     candidate_potentials,
 )
 from halfcake.exact_linalg import _place_blocks
-from paper_constructs import build_created_network, created_extension
+from paper_constructs import build_created_network, created_extension, rep_spec
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +47,9 @@ from paper_constructs import build_created_network, created_extension
 
 
 def test_identity_plan_reproduces_original(reduced_spec):
-    repnet = build_replicated(reduced_spec, ReplicationPlan.identity(3))
-    assert repnet.rep_spec == reduced_spec
+    repnet = build_replicated(reduced_spec, ReplicationPlan.identity(
+        3, contiguous_partition([1, 1, 1], [1, 0, 0])))
+    assert rep_spec(repnet) == reduced_spec
     # every replica block, desired ones included, is wired from the block it copies
     assert repnet.source == {(r, t): (r, t) for r in range(3) for t in range(3)}
     # the realized cooperation that outer_bound(..., realization=real) ranks
@@ -90,9 +91,9 @@ def test_replicated_receivers_hear_exactly_k_minus_1_interferers(rect23_spec):
 def test_replicated_cross_ranks_inherit_budgets(counterexample_spec):
     repnet = build_replicated(counterexample_spec, ReplicationPlan.mirror(3))
     idx = {u: t for t, u in enumerate(repnet.users)}
-    assert repnet.rep_spec.D[idx[(1, 0)]][idx[(0, 1)]] == 5
-    assert repnet.rep_spec.D[idx[(0, 0)]][idx[(1, 1)]] == 6
-    assert repnet.rep_spec.D[idx[(2, 0)]][idx[(0, 0)]] == 0
+    assert rep_spec(repnet).D[idx[(1, 0)]][idx[(0, 1)]] == 5
+    assert rep_spec(repnet).D[idx[(0, 0)]][idx[(1, 1)]] == 6
+    assert rep_spec(repnet).D[idx[(2, 0)]][idx[(0, 0)]] == 0
 
 
 def test_plan_validation_rejects_gaps():
@@ -164,10 +165,11 @@ def test_plan_json_roundtrip():
     plan = presets.rect_2x3_plan()
     again = ReplicationPlan.from_json(json.loads(json.dumps(plan.to_json())))
     assert again == plan
-    mirror = ReplicationPlan.from_json(
-        {"mu": [2, 2, 2], "assign": "mirror",
-         "partition": [[[1, 1], [2, 1], [3, 1]], [[1, 2], [2, 2], [3, 2]]]})
-    assert mirror == ReplicationPlan.mirror(3)
+    # the wiring is written as shifts or as a table; a bare "mirror" is neither
+    with pytest.raises(BadShape, match="assign"):
+        ReplicationPlan.from_json(
+            {"mu": [2, 2, 2], "assign": "mirror",
+             "partition": [[[1, 1], [2, 1], [3, 1]], [[1, 2], [2, 2], [3, 2]]]})
 
 
 def test_plan_json_rejects_a_receiver_wired_twice_to_one_interferer():
@@ -186,7 +188,7 @@ def test_plan_json_rejects_a_receiver_wired_twice_to_one_interferer():
 
 def test_mirror_cooperation_is_stripped_matrix(reduced_spec):
     coop = cooperate(reduced_spec, ReplicationPlan.mirror(3))
-    assert (coop.Mbar1, coop.Nbar1, coop.Mbar2, coop.Nbar2) == (24, 24, 24, 24)
+    assert (coop.Mbar1, coop.Nbar2) == (24, 24)
     assert coop.pattern.shape == (24, 24)
     assert coop.pattern.entries == {
         (r, c): (r, c) for r in range(3) for c in range(3) if r != c
@@ -196,7 +198,7 @@ def test_mirror_cooperation_is_stripped_matrix(reduced_spec):
 def test_rect23_cooperation_shape(rect23_spec):
     plan = presets.rect_2x3_plan()
     coop = cooperate(rect23_spec, plan)
-    assert (coop.Mbar1, coop.Nbar1, coop.Mbar2, coop.Nbar2) == (18, 27, 12, 18)
+    assert (coop.Mbar1, coop.Nbar2) == (18, 18)
     assert coop.pattern.shape == (18, 18)
 
 
