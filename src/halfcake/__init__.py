@@ -47,17 +47,14 @@ from .rank_feasibility import (
     validate_certificate,
 )
 from .replication_bounds import (
-    CooperativeChannel,
     DofBound,
     ReplicatedNetwork,
     ReplicationPlan,
-    WeightedBoundStatement,
     build_replicated,
     contiguous_partition,
     cooperate,
     outer_bound,
     search_bounds,
-    weighted_dof_bound,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -284,8 +285,11 @@ def decode_matrix(obj, domain: ScalarDomain, shape: Tuple[int, int],
         return np.array(flat, dtype=np.int64).reshape(shape)
     try:
         mat = np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BadShape(f"{what}: complex entries must be [re, im] number pairs") from exc
+    except (TypeError, ValueError, OverflowError):
+        mat = None
+    # complex(True, False) succeeds, so JSON booleans are caught by type, once per matrix
+    if mat is None or bool in set(map(type, chain.from_iterable(chain.from_iterable(obj)))):
+        raise BadShape(f"{what}: complex entries must be [re, im] number pairs")
     if not np.isfinite(mat).all():
         raise BadShape(f"{what}: complex entries must be finite")
     return mat.reshape(shape)

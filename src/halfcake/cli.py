@@ -75,7 +75,7 @@ def cmd_analyze(args) -> int:
     report["best_bound"] = bound.to_json()
 
     if spec.is_square:
-        verdict = half_cake_verdict(spec, seed=args.seed, trials=args.trials)
+        verdict = half_cake_verdict(spec)
         report["verdict"] = verdict.to_json()
     else:
         report["verdict"] = None
@@ -154,7 +154,7 @@ def _expect(report: dict, name: str, got, want) -> bool:
 def _reproduce_counterexample(seed, trials, tol) -> dict:
     spec = presets.counterexample_network()
     report = {"target": "counterexample", "checks": []}
-    verdict = half_cake_verdict(spec, seed=seed, trials=trials)
+    verdict = half_cake_verdict(spec)
     ok = _expect(report, "no optimality certificate", verdict.status, "UNDECIDED")
     ok &= _expect(report, "stripped generic rank", generic_rank(spec, trials, seed), 23)
     ext = extend_ergodic_pair(spec, seed=seed)
@@ -196,7 +196,7 @@ def _reproduce_asym(seed, trials, tol) -> dict:
 def _reproduce_theorem5(seed, trials, tol) -> dict:
     spec = presets.boundary_sum_network()
     report = {"target": "theorem5", "checks": []}
-    verdict = half_cake_verdict(spec, seed=seed, trials=trials)
+    verdict = half_cake_verdict(spec)
     ok = _expect(report, "status", verdict.status, "OPTIMAL_CERTIFIED")
     ok &= _expect(report, "boundary witness", any(
         w.startswith("Theorem5") for w in verdict.witnesses), True)
@@ -210,7 +210,7 @@ def _reproduce_theorem5(seed, trials, tol) -> dict:
 def _reproduce_theorem6(seed, trials, tol) -> dict:
     spec = presets.boundary_equal_network()
     report = {"target": "theorem6", "checks": []}
-    verdict = half_cake_verdict(spec, seed=seed, trials=trials)
+    verdict = half_cake_verdict(spec)
     ok = _expect(report, "status", verdict.status, "OPTIMAL_CERTIFIED")
     ok &= _expect(report, "boundary witness", any(
         w.startswith("Theorem6") for w in verdict.witnesses), True)

@@ -6,7 +6,7 @@ so any coding scheme for the original network keeps working replica-wise.
 Splitting the replicas into two fully cooperating groups leaves a 2-user
 channel whose cross matrix is assembled from original blocks and zeros;
 its rank turns into the bound (Mbar1 + Nbar2 - rank) / mu for uniform
-replica counts, and into a weighted-sum statement otherwise.
+replica counts.
 """
 
 from __future__ import annotations
@@ -245,19 +245,10 @@ def build_replicated(spec: NetworkSpec, plan: ReplicationPlan) -> ReplicatedNetw
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CooperativeChannel:
-    """2-user channel after full intra-group cooperation."""
+def cooperate(spec: NetworkSpec, plan: ReplicationPlan) -> BlockPattern:
+    """Cross matrix of ``plan``'s two cooperating groups, read straight from its wiring.
 
-    Mbar1: int
-    Nbar2: int
-    #: cross matrix from group-1 transmitters to group-2 receivers
-    pattern: BlockPattern
-
-
-def cooperate(spec: NetworkSpec, plan: ReplicationPlan) -> CooperativeChannel:
-    """Cooperation channel of ``plan``'s two groups, read straight from its wiring.
-
+    Its shape is (Nbar2, Mbar1): group-2 receivers by group-1 transmitters.
     Receiver replica (j, beta) in group 2 hears transmitter replica
     (i, assign[(j, beta, i)]); when that replica is in group 1, block (j, i)
     sits at their row and column of the cross matrix.
@@ -269,13 +260,8 @@ def cooperate(spec: NetworkSpec, plan: ReplicationPlan) -> CooperativeChannel:
     entries = {(rows[(j, beta)], cols[(i, alpha)]): (j, i)
                for (j, beta, i), alpha in plan.assign.items()
                if (j, beta) in rows and (i, alpha) in cols}
-    pattern = BlockPattern(
+    return BlockPattern(
         tuple(spec.N[u] for u, _ in g2), tuple(spec.M[u] for u, _ in g1), entries
-    )
-    return CooperativeChannel(
-        Mbar1=sum(spec.M[u] for u, _ in g1),
-        Nbar2=sum(spec.N[u] for u, _ in g2),
-        pattern=pattern,
     )
 
 
@@ -311,62 +297,25 @@ class DofBound:
 
 def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed: int = 0,
                 realization: Optional[ChannelRealization] = None) -> DofBound:
-    """Sum-DoF outer bound (Mbar1 + Nbar2 - rank) / mu for a uniform plan."""
+    """Sum-DoF outer bound (Mbar1 + Nbar2 - rank) / mu for a uniform plan.
+
+    The rank is the generic one over 2**61-1, or that of ``realization``'s
+    blocks placed in the cross matrix when one is given.
+    """
     mu = plan.uniform_mu
     if mu is None:
-        raise NonUniformMu("sum-DoF bound needs uniform replica counts; "
-                           "use weighted_dof_bound for weighted statements")
-    stmt = weighted_dof_bound(spec, plan, trials=trials, seed=seed, realization=realization)
-    return DofBound(Fraction(stmt.rhs, mu), mu, stmt.rank, stmt.Mbar1, stmt.Nbar2, plan,
-                    stmt.method)
-
-
-@dataclass(frozen=True)
-class WeightedBoundStatement:
-    """Inequality sum_k mu_k d_k <= rhs, with the cooperation evidence."""
-
-    mu: Tuple[int, ...]
-    rhs: int
-    rank: int
-    Mbar1: int
-    Nbar2: int
-    plan: ReplicationPlan
-    method: str
-
-    def statement(self) -> str:
-        lhs = " + ".join(f"{m}*d_{k + 1}" for k, m in enumerate(self.mu))
-        return f"{lhs} <= {self.rhs}"
-
-    def to_json(self) -> dict:
-        return {
-            "mu": list(self.mu),
-            "rhs": self.rhs,
-            "rank": self.rank,
-            "Mbar1": self.Mbar1,
-            "Nbar2": self.Nbar2,
-            "statement": self.statement(),
-            "plan": self.plan.to_json(),
-            "method": self.method,
-        }
-
-
-def weighted_dof_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed: int = 0,
-                       realization: Optional[ChannelRealization] = None
-                       ) -> WeightedBoundStatement:
-    """Weighted-sum DoF statement from one replicated network after cooperation.
-
-    The weights are the plan's replica counts ``plan.mu``.
-    """
-    coop = cooperate(spec, plan)
+        raise NonUniformMu(f"sum-DoF bound needs uniform replica counts, got mu {list(plan.mu)}")
+    pattern = cooperate(spec, plan)
     if realization is None:
-        rank_val = generic_rank_pattern(spec, coop.pattern, trials=trials, seed=seed)
+        rank_val = generic_rank_pattern(spec, pattern, trials=trials, seed=seed)
         method = f"generic-prime-field(trials={trials})"
     else:
         domain = realization.domain
-        rank_val = rank(_place_blocks(coop.pattern, realization.blocks, domain.dtype), domain)
+        rank_val = rank(_place_blocks(pattern, realization.blocks, domain.dtype), domain)
         method = "realized-complex" if domain.is_complex else "realized-prime"
-    rhs = coop.Mbar1 + coop.Nbar2 - rank_val
-    return WeightedBoundStatement(plan.mu, rhs, rank_val, coop.Mbar1, coop.Nbar2, plan, method)
+    Nbar2, Mbar1 = pattern.shape
+    return DofBound(Fraction(Mbar1 + Nbar2 - rank_val, mu), mu, rank_val, Mbar1, Nbar2, plan,
+                    method)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +370,9 @@ def candidate_potentials(spec: NetworkSpec, mu, shifts, cuts, swap) -> np.ndarra
     Row n is the plan with uniform replica count ``mu`` (``mu[n]`` if
     ``mu`` is an array, so one call scores rows of mixed counts), shift
     table ``shifts[n]`` (K x K, diagonal ignored), contiguous cuts
-    ``cuts[n]`` and, where ``swap[n]``, the two groups exchanged.  The
-    integers equal those of ``cooperate(spec, plan)`` and its
-    ``pattern.structural_cap(spec)``, without building either: receiver
+    ``cuts[n]`` and, where ``swap[n]``, the two groups exchanged.  Each
+    value is ``sum(pattern.shape) - pattern.structural_cap(spec)`` for
+    ``pattern = cooperate(spec, plan)``, without building either: receiver
     copy (j, b) in group 2 hears transmitter copy (i, (b + s_ji) % mu),
     so its row budget sums D[j][i] over the i whose
     copy is in group 1, and transmitter copy (i, a) in group 1 reaches
@@ -635,24 +584,23 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
             if not beats_best(potential, mu):
                 continue
             plan = ReplicationPlan.from_shifts([mu] * K, shifts[n].tolist(), partition)
-            coop = cooperate(spec, plan)
-            key = (coop.pattern.row_sizes, coop.pattern.col_sizes,
-                   tuple(sorted(coop.pattern.entries.items())))
+            pattern = cooperate(spec, plan)
+            key = (pattern.row_sizes, pattern.col_sizes, tuple(sorted(pattern.entries.items())))
             if key not in rank_memo:
                 evals += 1
-                rank_memo[key] = [None, evals, coop.pattern.flow_cap(spec)]
+                rank_memo[key] = [None, evals, pattern.flow_cap(spec)]
             screened, index, cap = rank_memo[key]
-            total, encoding = coop.Mbar1 + coop.Nbar2, plan.encoding()
+            total, encoding = sum(pattern.shape), plan.encoding()
             # no rank exceeds the flow cap, so a plan whose floor key is not below the
             # best cannot win, and its rank is left to a later memo hit that needs it
             if best_key is not None and (Fraction(total - cap, mu), mu, encoding) >= best_key:
                 continue
             if screened is None:
                 screened = rank_memo[key][0] = generic_rank_pattern(
-                    spec, coop.pattern, trials=_SCREEN_TRIALS, seed=(seed, index))
+                    spec, pattern, trials=_SCREEN_TRIALS, seed=(seed, index))
             cand_key = (Fraction(total - screened, mu), mu, encoding)
             if best_key is None or cand_key < best_key:
-                best_key, winner = cand_key, (plan, coop, screened, cap)
+                best_key, winner = cand_key, (plan, pattern, screened, cap)
 
     for mu in range(1, mu_max + 1):
         one_side = _cut_rows(K, mu)
@@ -691,9 +639,10 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     if held:
         rank(*map(np.concatenate, zip(*pending)))
 
-    plan, coop, screened, cap = winner
+    plan, pattern, screened, cap = winner
     if screened < cap:
         return outer_bound(spec, plan, trials=certify_trials, seed=seed)
     # the screening trial reached the flow cap, so it is the generic rank already
-    return DofBound(best_key[0], best_key[1], screened, coop.Mbar1, coop.Nbar2, plan,
+    Nbar2, Mbar1 = pattern.shape
+    return DofBound(best_key[0], best_key[1], screened, Mbar1, Nbar2, plan,
                     f"generic-prime-field(trials={certify_trials})")

@@ -329,6 +329,12 @@ BAD_INPUTS = {
     "spec-no-D": (["analyze"], _edit("spec", "D", drop=True)),
     "spec-list": (["analyze"], lambda blobs: blobs.update(spec=[])),
     "spec-D-ints": (["analyze"], _edit("spec", "D", value=[1, 2])),
+    # complex(True, False) succeeds, so a JSON boolean in an [re, im] pair is caught by type
+    "channel-bool": (["verify"], _edit("channel", "slots", 0, "H_1_1", 0, 0,
+                                       value=[True, False])),
+    "scheme-bool": (["verify"], _edit("scheme", "users", 0, "V", 0, 0, value=[False, True])),
+    "plan-mu-nonuniform": (["bound"], lambda blobs: blobs["plan"].update(
+        mu=[2, 1], partition=[[[1, 1], [2, 1]], [[1, 2]]])),
 }
 
 #: bad input -> what its error line must name
@@ -347,6 +353,9 @@ NAMED_FIELDS = {
     "spec-no-D": "'D'",
     "spec-list": "spec",
     "spec-D-ints": "D row",
+    "channel-bool": "H_1_1",
+    "scheme-bool": "user 1 V",
+    "plan-mu-nonuniform": "uniform",
 }
 
 #: Python's own exception text, which an error line must not pass on

@@ -416,7 +416,7 @@ def _circulant_pattern(spec, rng, mu_min: int, mu_max: int):
     shifts = rng.integers(0, mu[0], size=(spec.K, spec.K)).tolist()
     partition = contiguous_partition(mu, rng.integers(0, mu[0] + 1, size=spec.K).tolist())
     plan = ReplicationPlan.from_shifts(mu, shifts, partition)
-    return cooperate(spec, plan).pattern
+    return cooperate(spec, plan)
 
 
 def _circulant_cooperation(seed: int, p: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from halfcake import (
     random_square_spec,
     sample_generic,
     search_bounds,
-    weighted_dof_bound,
 )
 from halfcake import presets
 from halfcake.errors import (
@@ -60,7 +59,7 @@ def test_identity_plan_reproduces_original(reduced_spec):
             continue
         plan = ReplicationPlan.identity(3, contiguous_partition([1, 1, 1], cuts))
         g1, g2 = plan.partition
-        placed = _place_blocks(cooperate(reduced_spec, plan).pattern, real.blocks,
+        placed = _place_blocks(cooperate(reduced_spec, plan), real.blocks,
                                real.domain.dtype)
         assert np.array_equal(placed, np.block([[real.blocks[(j, i)] for i, _ in g1]
                                                 for j, _ in g2]))
@@ -187,26 +186,21 @@ def test_plan_json_rejects_a_receiver_wired_twice_to_one_interferer():
 
 
 def test_mirror_cooperation_is_stripped_matrix(reduced_spec):
-    coop = cooperate(reduced_spec, ReplicationPlan.mirror(3))
-    assert (coop.Mbar1, coop.Nbar2) == (24, 24)
-    assert coop.pattern.shape == (24, 24)
-    assert coop.pattern.entries == {
+    pattern = cooperate(reduced_spec, ReplicationPlan.mirror(3))
+    assert pattern.shape == (24, 24)
+    assert pattern.entries == {
         (r, c): (r, c) for r in range(3) for c in range(3) if r != c
     }
 
 
 def test_rect23_cooperation_shape(rect23_spec):
     plan = presets.rect_2x3_plan()
-    coop = cooperate(rect23_spec, plan)
-    assert (coop.Mbar1, coop.Nbar2) == (18, 18)
-    assert coop.pattern.shape == (18, 18)
+    assert cooperate(rect23_spec, plan).shape == (18, 18)
 
 
 def test_asym_cooperation_shape(asym_spec):
     plan = presets.mixed_dims_plan()
-    coop = cooperate(asym_spec, plan)
-    assert (coop.Mbar1, coop.Nbar2) == (24, 23)
-    assert coop.pattern.shape == (23, 24)
+    assert cooperate(asym_spec, plan).shape == (23, 24)  # (Nbar2, Mbar1)
 
 
 def _reference_cross_entries(spec, plan):
@@ -233,7 +227,7 @@ def test_cooperation_matches_replicated_network():
         side = rng.integers(0, 2, size=len(replicas))
         partition = tuple(tuple(replicas[n] for n in order if side[n] == g) for g in (0, 1))
         plan = ReplicationPlan(mu, assign, partition)
-        assert cooperate(spec, plan).pattern.entries == _reference_cross_entries(spec, plan)
+        assert cooperate(spec, plan).entries == _reference_cross_entries(spec, plan)
 
 
 def test_outer_bound_rect23(rect23_spec):
@@ -267,6 +261,13 @@ def test_outer_bound_rationals_are_exact(rect23_spec):
     assert bound.value * bound.mu + bound.rank == bound.Mbar1 + bound.Nbar2
 
 
+def test_weighted_single_user_vs_rest():
+    spec = NetworkSpec.square((5, 3, 2), {(1, 0): 3, (2, 0): 2}, default="zero")
+    bound = outer_bound(spec, presets.boundary_sum_plan(), trials=6, seed=0)
+    # mu = 1: d_1 + d_2 + d_3 <= M_1 + (N_2 + N_3) - rank([H_21; H_31])
+    assert bound.value * bound.mu == 5 + 5 - 5
+
+
 def test_outer_bound_rejects_nonuniform():
     spec = NetworkSpec.square((2, 2, 2))
     shifts = [[0] * 3 for _ in range(3)]
@@ -291,7 +292,8 @@ def test_bound_json_keys(rect23_spec):
 
 #: two networks with rank-deficient cross links, and explicit circulant plans
 #: on them whose cooperation matrices (24x24 to 104x104, mostly zero blocks)
-#: stay below the structural cap, so all 8 prime-field trials run
+#: rank below the structural cap but at the flow cap, so the first of the 8
+#: prime-field trials reaches the cap and ends the rank
 LADDER_SPECS = {
     "cx": ((10, 8, 6), {(0, 1): 6, (1, 0): 5}),
     "k4": ((8, 7, 6, 5), {(0, 1): 4, (1, 0): 3, (2, 3): 2, (3, 2): 3, (0, 2): 5, (1, 3): 4}),
@@ -331,37 +333,7 @@ def test_outer_bound_pinned_on_large_circulant_plans(case):
                                        contiguous_partition([mu] * spec.K, cuts))
     bound = outer_bound(spec, plan, trials=8, seed=0)
     assert (bound.rank, bound.value) == LADDER_PINS[case]
-
-
-# ---------------------------------------------------------------------------
-# weighted statements
-# ---------------------------------------------------------------------------
-
-
-def test_weighted_single_user_vs_rest():
-    spec = NetworkSpec.square((5, 3, 2), {(1, 0): 3, (2, 0): 2}, default="zero")
-    plan = presets.boundary_sum_plan()
-    stmt = weighted_dof_bound(spec, plan, trials=6, seed=0)
-    # rhs = M_1 + (N_2 + N_3) - rank([H_21; H_31])
-    assert stmt.rhs == 5 + 5 - 5
-    assert stmt.statement() == "1*d_1 + 1*d_2 + 1*d_3 <= 5"
-
-
-def test_weighted_matches_uniform_bound(reduced_spec):
-    plan = ReplicationPlan.mirror(3)
-    stmt = weighted_dof_bound(reduced_spec, plan, trials=6, seed=0)
-    bound = outer_bound(reduced_spec, plan, trials=6, seed=0)
-    assert Fraction(stmt.rhs, 2) == bound.value
-
-
-def test_weighted_accepts_nonuniform_plan():
-    spec = NetworkSpec.square((2, 2, 2))
-    mu = (3, 2, 1)
-    shifts = [[1 if i != j else 0 for i in range(3)] for j in range(3)]
-    plan = ReplicationPlan.from_shifts(mu, shifts,
-                                       contiguous_partition(mu, (2, 1, 0)))
-    stmt = weighted_dof_bound(spec, plan, trials=4, seed=0)
-    assert stmt.mu == mu and stmt.rhs >= 0
+    assert bound.rank == cooperate(spec, plan).flow_cap(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +392,8 @@ def test_candidate_potentials_match_cooperation():
                 [mu] * K, shifts[n], contiguous_partition([mu] * K, cuts[n].tolist()))
             if swap[n]:
                 plan = ReplicationPlan(plan.mu, plan.assign, plan.partition[::-1])
-            coop = cooperate(spec, plan)
-            assert got[n] == coop.Mbar1 + coop.Nbar2 - coop.pattern.structural_cap(spec)
+            pattern = cooperate(spec, plan)
+            assert got[n] == sum(pattern.shape) - pattern.structural_cap(spec)
             checked += 1
     assert checked == 600
 
