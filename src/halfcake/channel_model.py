@@ -28,6 +28,7 @@ from .errors import (
 )
 from .exact_linalg import (
     ScalarDomain,
+    _block_rank_bound,
     _sample_block,
     rank,
     rng_from,
@@ -303,7 +304,7 @@ def sample_generic(spec: NetworkSpec, seed: int = 0,
     for j in range(spec.K):
         for i in range(spec.K):
             rng = rng_from(seed, 0xC4, 0, j, i)  # the 0 keeps recorded realizations unchanged
-            bound = min(spec.M[i], spec.N[j]) if i == j else spec.D[j][i]
+            bound = _block_rank_bound(spec, j, i)
             blocks[(j, i)] = _sample_block(rng, spec.N[j], spec.M[i], bound, p)
     return ChannelRealization(spec, domain, blocks, seed)
 
@@ -407,7 +408,7 @@ def extend_ergodic_pair(spec: NetworkSpec, seed: int = 0,
         blocks2 = dict(base.blocks)
         for k in range(spec.K):
             rng = rng_from(seed, 0xE2, attempt, k)
-            full = min(spec.M[k], spec.N[k])
+            full = _block_rank_bound(spec, k, k)
             blk = _sample_block(rng, spec.N[k], spec.M[k], full, p)
             diff = base.blocks[(k, k)] - blk
             if rank(diff, domain) != full:

@@ -77,7 +77,3 @@ class UnknownTarget(HalfCakeError):
 
 class InvalidArgument(HalfCakeError, ValueError):
     """An argument lies outside its valid range or set of choices."""
-
-
-class InconsistentBound(HalfCakeError):
-    """Bound fields violate value * mu + rank == Mbar1 + Nbar2."""

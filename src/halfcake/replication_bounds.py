@@ -29,7 +29,6 @@ from .channel_model import (
 from .errors import (
     BadPartition,
     BadShape,
-    InconsistentBound,
     InvalidArgument,
     NonUniformMu,
     PlanViolatesDefinition1,
@@ -84,10 +83,6 @@ class ReplicationPlan:
     @property
     def K(self) -> int:
         return len(self.mu)
-
-    @property
-    def uniform_mu(self) -> Optional[int]:
-        return self.mu[0] if len(set(self.mu)) == 1 else None
 
     def encoding(self) -> tuple:
         return (self.mu, tuple(sorted(self.assign.items())), self.partition)
@@ -267,21 +262,22 @@ def cooperate(spec: NetworkSpec, plan: ReplicationPlan) -> BlockPattern:
 
 @dataclass(frozen=True)
 class DofBound:
-    """One replication outer bound with its full provenance."""
+    """One replication outer bound of a uniform plan with its full provenance."""
 
-    value: Fraction
-    mu: int
     rank: int
     Mbar1: int
     Nbar2: int
     plan: ReplicationPlan
     method: str
 
-    def __post_init__(self):
-        if self.value * self.mu + self.rank != self.Mbar1 + self.Nbar2:
-            raise InconsistentBound(
-                f"bound {self.value} * mu {self.mu} + rank {self.rank} "
-                f"!= Mbar1 {self.Mbar1} + Nbar2 {self.Nbar2}")
+    @property
+    def mu(self) -> int:
+        return self.plan.mu[0]
+
+    @property
+    def value(self) -> Fraction:
+        """The bound (Mbar1 + Nbar2 - rank) / mu."""
+        return Fraction(self.Mbar1 + self.Nbar2 - self.rank, self.mu)
 
     def to_json(self) -> dict:
         return {
@@ -302,8 +298,7 @@ def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed:
     The rank is the generic one over 2**61-1, or that of ``realization``'s
     blocks placed in the cross matrix when one is given.
     """
-    mu = plan.uniform_mu
-    if mu is None:
+    if len(set(plan.mu)) > 1:
         raise NonUniformMu(f"sum-DoF bound needs uniform replica counts, got mu {list(plan.mu)}")
     pattern = cooperate(spec, plan)
     if realization is None:
@@ -314,17 +309,12 @@ def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed:
         rank_val = rank(_place_blocks(pattern, realization.blocks, domain.dtype), domain)
         method = "realized-complex" if domain.is_complex else "realized-prime"
     Nbar2, Mbar1 = pattern.shape
-    return DofBound(Fraction(Mbar1 + Nbar2 - rank_val, mu), mu, rank_val, Mbar1, Nbar2, plan,
-                    method)
+    return DofBound(rank_val, Mbar1, Nbar2, plan, method)
 
 
 # ---------------------------------------------------------------------------
 # bounded search over plans
 # ---------------------------------------------------------------------------
-
-#: trials of each screening rank inside the search; a winner short of its flow
-#: cap is re-certified
-_SCREEN_TRIALS = 1
 
 #: random candidates drawn from the seeded stream at a time
 _CHUNK = 1024
@@ -419,11 +409,11 @@ def _group_copies(mus, cuts, swap) -> Tuple[np.ndarray, np.ndarray]:
     return n1, mus - n1
 
 
-def _potential_floors(spec: NetworkSpec, mus, cuts, swap) -> np.ndarray:
+def _potential_floors(spec: NetworkSpec, mus, n1) -> np.ndarray:
     """Lower bound on ``candidate_potentials`` that holds for every shift table.
 
-    Row n has n1 = copies of each user in group 1 and n2 = mus[n] - n1 in
-    group 2.  In a circulant wiring the group-2 copies b of receiver j hear
+    Row n has n1[n] = copies of each user in group 1 and n2 = mus[n] - n1[n]
+    in group 2.  In a circulant wiring the group-2 copies b of receiver j hear
     the distinct copies (b + s_ji) % mu of transmitter i, so at most
     min(n1_i, n2_j) of them hear a group-1 copy of i.  Split the
     interferers of j into the big ones, n1_i >= n2_j, whose ranks sum to
@@ -450,7 +440,7 @@ def _potential_floors(spec: NetworkSpec, mus, cuts, swap) -> np.ndarray:
     and the floor is the potential.
     """
     M, N, D = _spec_arrays(spec)
-    n1, n2 = _group_copies(mus, cuts, swap)
+    n2 = np.asarray(mus)[:, None] - n1
     mbar1 = n1 @ M
     nbar2 = n2 @ N
     cap = np.minimum(mbar1, nbar2)
@@ -489,7 +479,7 @@ class _FloorTable:
         self.starts = np.concatenate([[0, 0], np.cumsum(np.arange(2, mu_max + 2) ** spec.K)])
         n1 = np.concatenate([_cut_rows(spec.K, mu) for mu in range(1, mu_max + 1)])
         mus = np.repeat(np.arange(1, mu_max + 1), np.diff(self.starts[1:]))
-        self.floors = _potential_floors(spec, mus, n1, np.zeros(len(n1), dtype=bool))
+        self.floors = _potential_floors(spec, mus, n1)
         self.least = np.concatenate([[0], np.minimum.reduceat(self.floors, self.starts[1:-1])])
 
     def lookup(self, mus, cuts, swap) -> np.ndarray:
@@ -527,9 +517,12 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     A pattern seen for the first time counts as one rank evaluation and
     gets its max-flow cap (``BlockPattern.flow_cap``), which no rank
     exceeds; only when (Mbar1 + Nbar2 - cap) / mu, with its mu and plan
-    encoding, still beats the best key does it pay for a one-trial rank
-    over 2**61-1, seeded by that evaluation's index, so a pattern skipped
-    once and ranked at a later memo hit gets the same rank.
+    encoding, still beats the best key does it pay for its generic rank
+    over 2**61-1 (``generic_rank_pattern`` at ``certify_trials``, which
+    stops at the first trial that reaches the cap), seeded by that
+    evaluation's index, so a pattern skipped once and ranked at a later
+    memo hit gets the same rank, and the rank the search compares is the
+    one it returns.
     Each row is tested against the best again when its turn comes, so the
     checks that end a phase early change nothing: the walk of a mu ends,
     between batches, once its least floor cannot beat the best (if a row's
@@ -539,10 +532,7 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     changes the rows that are evaluated or their order.
     ``budget`` bounds the work: at most ``budget`` rank evaluations (memo
     hits are free, and a pattern the flow cap rules out counts as one) and
-    at most ``2 * budget`` random candidates scored.  A winner whose
-    screening rank reaches its flow cap has its generic rank already;
-    only one that falls short is re-certified at ``certify_trials``.  The
-    method string names ``certify_trials`` either way.  Ties break
+    at most ``2 * budget`` random candidates scored.  Ties break
     lexicographically on (bound, mu, plan encoding).  SearchTooLarge if
     the floor table would have more than ``MAX_FLOOR_ENTRIES`` entries.
     """
@@ -562,7 +552,8 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     floors = _FloorTable(spec, mu_max)
     best_key = winner = None  # best_key = (value, mu, plan encoding)
     evals = 0
-    rank_memo: dict = {}  # pattern -> [screening rank or None, its eval index, flow cap]
+    rank_memo: dict = {}  # pattern -> [generic rank or None, its eval index, flow cap]
+    method = f"generic-prime-field(trials={certify_trials})"
 
     def beats_best(potential, mu):
         """Whether potential / mu is below the best value; broadcasts over arrays."""
@@ -580,7 +571,7 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
                                              mus[keep].tolist(), keep.tolist()))
         for _, potential, mu, partition, n in rows:
             if evals >= budget:
-                return
+                break
             if not beats_best(potential, mu):
                 continue
             plan = ReplicationPlan.from_shifts([mu] * K, shifts[n].tolist(), partition)
@@ -589,18 +580,19 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
             if key not in rank_memo:
                 evals += 1
                 rank_memo[key] = [None, evals, pattern.flow_cap(spec)]
-            screened, index, cap = rank_memo[key]
+            rank_val, index, cap = rank_memo[key]
             total, encoding = sum(pattern.shape), plan.encoding()
             # no rank exceeds the flow cap, so a plan whose floor key is not below the
             # best cannot win, and its rank is left to a later memo hit that needs it
             if best_key is not None and (Fraction(total - cap, mu), mu, encoding) >= best_key:
                 continue
-            if screened is None:
-                screened = rank_memo[key][0] = generic_rank_pattern(
-                    spec, pattern, trials=_SCREEN_TRIALS, seed=(seed, index))
-            cand_key = (Fraction(total - screened, mu), mu, encoding)
+            if rank_val is None:
+                rank_val = rank_memo[key][0] = generic_rank_pattern(
+                    spec, pattern, trials=certify_trials, seed=(seed, index))
+            cand_key = (Fraction(total - rank_val, mu), mu, encoding)
             if best_key is None or cand_key < best_key:
-                best_key, winner = cand_key, (plan, pattern, screened, cap)
+                Nbar2, Mbar1 = pattern.shape
+                best_key, winner = cand_key, DofBound(rank_val, Mbar1, Nbar2, plan, method)
 
     for mu in range(1, mu_max + 1):
         one_side = _cut_rows(K, mu)
@@ -639,10 +631,4 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     if held:
         rank(*map(np.concatenate, zip(*pending)))
 
-    plan, pattern, screened, cap = winner
-    if screened < cap:
-        return outer_bound(spec, plan, trials=certify_trials, seed=seed)
-    # the screening trial reached the flow cap, so it is the generic rank already
-    Nbar2, Mbar1 = pattern.shape
-    return DofBound(best_key[0], best_key[1], screened, Mbar1, Nbar2, plan,
-                    f"generic-prime-field(trials={certify_trials})")
+    return winner

@@ -3,7 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,16 +23,15 @@ from halfcake import presets
 from halfcake.errors import (
     BadPartition,
     BadShape,
-    InconsistentBound,
     InvalidArgument,
     NonUniformMu,
     PlanViolatesDefinition1,
     SearchTooLarge,
 )
 from halfcake.replication_bounds import (
-    DofBound,
     _cut_rows,
     _FloorTable,
+    _group_copies,
     _potential_floors,
     candidate_potentials,
 )
@@ -171,6 +170,28 @@ def test_plan_json_roundtrip():
              "partition": [[[1, 1], [2, 1], [3, 1]], [[1, 2], [2, 2], [3, 2]]]})
 
 
+#: a wiring of three users at mu 2 that no shift table writes: receiver copy 1 of
+#: user 1 hears copy 1 of user 2 but copy 2 of user 3, its copy 2 copy 1 of both
+NON_CIRCULANT_TABLE = [[1, 1, 2, 1], [1, 1, 3, 2], [1, 2, 2, 1], [1, 2, 3, 1],
+                       [2, 1, 1, 2], [2, 1, 3, 1], [2, 2, 1, 2], [2, 2, 3, 2],
+                       [3, 1, 1, 1], [3, 1, 2, 2], [3, 2, 1, 2], [3, 2, 2, 2]]
+
+
+def test_non_circulant_plan_is_written_as_a_table(counterexample_spec):
+    plan = ReplicationPlan((2, 2, 2), {(j - 1, b - 1, i - 1): a - 1
+                                       for j, b, i, a in NON_CIRCULANT_TABLE},
+                           contiguous_partition([2, 2, 2], [1, 1, 1]))
+    assert plan.to_json()["assign"] == {"table": NON_CIRCULANT_TABLE}
+    assert ReplicationPlan.from_json(json.loads(json.dumps(plan.to_json()))) == plan
+    assert outer_bound(counterexample_spec, plan).value == 19
+
+
+@pytest.mark.parametrize("cuts, user", [([-1, 0, 0], 1), ([0, 3, 0], 2)])
+def test_contiguous_partition_rejects_cuts_outside_the_copies(cuts, user):
+    with pytest.raises(BadPartition, match=f"for user {user}$"):
+        contiguous_partition([2, 2, 2], cuts)
+
+
 def test_plan_json_rejects_a_receiver_wired_twice_to_one_interferer():
     obj = {"mu": [2, 2], "partition": [[[1, 1], [2, 1]], [[1, 2], [2, 2]]],
            "assign": {"table": [[1, 1, 2, 1], [1, 2, 2, 2], [2, 1, 1, 1], [2, 2, 1, 2]]}}
@@ -275,12 +296,6 @@ def test_outer_bound_rejects_nonuniform():
         (2, 1, 1), shifts, contiguous_partition((2, 1, 1), (1, 1, 0)))
     with pytest.raises(NonUniformMu):
         outer_bound(spec, plan)
-
-
-def test_dof_bound_rejects_inconsistent_fields():
-    plan = ReplicationPlan.mirror(3)
-    with pytest.raises(InconsistentBound):
-        DofBound(Fraction(13, 2), 2, 23, 24, 24, plan, "made-up")
 
 
 def test_bound_json_keys(rect23_spec):
@@ -429,7 +444,7 @@ def test_potential_floor_never_exceeds_potential():
         shifts = rng.integers(0, mus[:, None, None], size=(20, K, K))
         cuts = rng.integers(0, mus[:, None] + 1, size=(20, K))
         swap = rng.integers(0, 2, size=20).astype(bool)
-        floors = _potential_floors(spec, mus, cuts, swap)
+        floors = _potential_floors(spec, mus, _group_copies(mus, cuts, swap)[0])
         for mu in np.unique(mus):
             sel = mus == mu
             got = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel], swap[sel])
@@ -453,15 +468,14 @@ def test_potential_floor_never_exceeds_potential():
             least = candidate_potentials(
                 spec, mu, np.repeat(tables, rows, axis=0), np.tile(cuts, (len(tables), 1)),
                 np.tile(swap, len(tables))).reshape(len(tables), rows).min(axis=0)
-            floors = _potential_floors(spec, mus, cuts, swap)
+            floors = _potential_floors(spec, mus, _group_copies(mus, cuts, swap)[0])
             assert (floors <= least).all()
             if mu == 1:
                 assert (floors == least).all()
     # example-asym at mu = 2, n1 = (0, 2, 1): user 3's one group-1 copy reaches
     # one of user 1's two group-2 copies, so the row budgets are 10 + 8, not 20
-    args = (presets.NETWORKS["example-asym"](), np.array([2]), np.array([[0, 2, 1]]),
-            np.array([False]))
-    assert _potential_floors(*args)[0] == 24
+    spec = presets.NETWORKS["example-asym"]()
+    assert _potential_floors(spec, np.array([2]), np.array([[0, 2, 1]]))[0] == 24
 
 
 def test_mixed_mu_batches_match_per_mu_calls():
@@ -491,10 +505,11 @@ def test_mixed_mu_batches_match_per_mu_calls():
         table = _FloorTable(spec, mu_max)
         assert len(table.floors) == sum((mu + 1) ** K for mu in range(1, mu_max + 1))
         for g_mus, g_cuts, g_swap in _cut_groups(K, mu_max):
-            group = _potential_floors(spec, g_mus, g_cuts, g_swap)
+            group = _potential_floors(spec, g_mus, _group_copies(g_mus, g_cuts, g_swap)[0])
             assert (table.lookup(g_mus, g_cuts, g_swap) == group).all()
             assert table.least[g_mus[0]] == group.min()
-        assert (table.lookup(mus, cuts, swap) == _potential_floors(spec, mus, cuts, swap)).all()
+        n1 = _group_copies(mus, cuts, swap)[0]
+        assert (table.lookup(mus, cuts, swap) == _potential_floors(spec, mus, n1)).all()
     assert mixed > 20
 
 
@@ -552,8 +567,7 @@ def test_search_pinned_on_presets(name):
                                       "partition": partition}
 
 
-#: search_bounds(spec, mu_max=3) per preset: generic_rank_pattern calls (a
-#: re-certification of the winner included; none of these needs one),
+#: search_bounds(spec, mu_max=3) per preset: generic_rank_pattern calls,
 #: candidate_potentials calls, rows scored
 WORK_PINS = {
     "counterexample": (2, 3, 389),
@@ -594,31 +608,50 @@ def _reuse_cases():
 
 
 def test_search_winner_matches_outer_bound(monkeypatch):
-    """A winner whose screening rank reached its flow cap is returned as is; any other
-    is certified by ``outer_bound``.  Either way the bound is ``outer_bound``'s."""
+    """The search ranks every pattern at ``certify_trials`` and never calls
+    ``outer_bound``, and its bound is ``outer_bound``'s."""
     from halfcake import replication_bounds
 
-    certified = []
+    trials, certified = [], []
+    rank_pattern = replication_bounds.generic_rank_pattern
+    monkeypatch.setattr(replication_bounds, "generic_rank_pattern",
+                        lambda *a, **kw: trials.append(kw["trials"]) or rank_pattern(*a, **kw))
     certify = replication_bounds.outer_bound
     monkeypatch.setattr(replication_bounds, "outer_bound",
                         lambda *a, **kw: certified.append(1) or certify(*a, **kw))
-
-    def check(spec, kwargs):
-        before = len(certified)
+    for spec, kwargs in _reuse_cases():
+        trials.clear()
         got = search_bounds(spec, certify_trials=8, **kwargs)
+        assert set(trials) == {8} and not certified
         want = certify(spec, got.plan, trials=8, seed=kwargs.get("seed", 0))
         assert (got.to_json(), got.rank) == (want.to_json(), want.rank)
-        return len(certified) > before
 
-    natural = [check(spec, kwargs) for spec, kwargs in _reuse_cases()]
-    # no generic rank of a circulant plan was seen below its flow cap, so only an
-    # unlucky screening trial sends the winner to outer_bound: make every one fall short
+
+def test_search_compares_the_certified_rank_after_an_unlucky_first_trial(monkeypatch):
+    """A first trial that falls short of the generic rank does not decide the search:
+    it compares the rank of up to ``certify_trials`` trials, so it answers as if the
+    first trial had been lucky."""
+    from halfcake import exact_linalg, replication_bounds
+
+    cases = list(_reuse_cases())
+    want = [search_bounds(spec, **kwargs).to_json() for spec, kwargs in cases]
+    armed = []
     rank_pattern = replication_bounds.generic_rank_pattern
-    monkeypatch.setattr(replication_bounds, "generic_rank_pattern",
-                        lambda spec, pattern, trials, seed: rank_pattern(
-                            spec, pattern, trials=trials, seed=seed) - (trials == 1))
-    short = [check(spec, kwargs) for spec, kwargs in islice(_reuse_cases(), 12)]
-    assert not all(natural) and all(short)
+    instantiate = exact_linalg.instantiate_pattern
+
+    def arm(*args, **kwargs):
+        armed.append(True)
+        return rank_pattern(*args, **kwargs)
+
+    def zero_once_armed(spec, pattern, *args, **kwargs):
+        if armed:  # the first trial of every rank call instantiates a zero matrix
+            armed.clear()
+            return np.zeros(pattern.shape, dtype=np.int64)
+        return instantiate(spec, pattern, *args, **kwargs)
+
+    monkeypatch.setattr(replication_bounds, "generic_rank_pattern", arm)
+    monkeypatch.setattr(exact_linalg, "instantiate_pattern", zero_once_armed)
+    assert [search_bounds(spec, **kwargs).to_json() for spec, kwargs in cases] == want
 
 
 def test_search_rejects_zero_certify_trials():
