@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional
 
@@ -271,48 +272,50 @@ def left_null_space_basis(mat) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockPattern:
     """Block matrix whose entries reference original channel blocks.
 
     ``entries[(r, c)] = (j, i)`` places (a copy of) the cross/desired block
     from transmitter i to receiver j; absent entries are zero blocks.  The
     same (j, i) reference may appear several times, and every placement is
-    instantiated with the same sampled matrix.
+    instantiated with the same sampled matrix, of rank ``budgets[(j, i)]``.
     """
 
     row_sizes: tuple
     col_sizes: tuple
     entries: dict
+    budgets: dict
 
     @property
     def shape(self) -> tuple:
         return (sum(self.row_sizes), sum(self.col_sizes))
 
-    def structural_cap(self, spec) -> int:
+    def structural_cap(self) -> int:
         """Cheap upper bound on the generic rank from per-block rank budgets."""
         row_budget = [0] * len(self.row_sizes)
         col_budget = [0] * len(self.col_sizes)
-        for (r, c), (j, i) in self.entries.items():
-            b = _block_rank_bound(spec, j, i)
+        for (r, c), ref in self.entries.items():
+            b = self.budgets[ref]
             row_budget[r] += b
             col_budget[c] += b
         rows = sum(min(sz, b) for sz, b in zip(self.row_sizes, row_budget))
         cols = sum(min(sz, b) for sz, b in zip(self.col_sizes, col_budget))
         return min(rows, cols, *self.shape)
 
-    def flow_cap(self, spec) -> int:
+    @cached_property
+    def flow_cap(self) -> int:
         """Exact upper bound on the rank of every instantiation: the value of
-        ``max_flow``.
+        ``max_flow``, worked out once per pattern.
 
         A cut picks whole block rows, whole block columns and the budgets of
         the blocks outside both; together they cover every nonzero, so their
         total bounds the rank.  ``structural_cap`` is such a cut, so this
         never exceeds it.
         """
-        return self.max_flow(spec)[0]
+        return self.max_flow()[0]
 
-    def max_flow(self, spec):
+    def max_flow(self):
         """Edmonds-Karp max flow source -> block column (its size) -> block
         (its rank budget) -> block row (its size) -> sink.
 
@@ -331,8 +334,8 @@ class BlockPattern:
         S, T = C + R, C + R + 1
         cap = [{} for _ in range(C + R + 2)]
         cap[S] = dict(enumerate(self.col_sizes))
-        for (r, c), (j, i) in self.entries.items():
-            cap[c][C + r] = _block_rank_bound(spec, j, i)
+        for (r, c), ref in self.entries.items():
+            cap[c][C + r] = self.budgets[ref]
         for r, size in enumerate(self.row_sizes):
             cap[C + r][T] = size
         # the BFS visits neighbours in set order, so the flow on each block (the
@@ -417,47 +420,44 @@ def _sample_block(rng, rows: int, cols: int, bound: int, p: Optional[int]) -> np
     return matmul_mod_p(draw(rows, bound), draw(bound, cols), p)
 
 
-def instantiate_pattern(spec, pattern: BlockPattern, rng, p: int = MERSENNE61) -> np.ndarray:
-    """One random prime-field instantiation of a block pattern (int64 matrix)."""
-    refs = sorted(set(pattern.entries.values()))
-    sampled = {
-        (j, i): _sample_block(rng, spec.N[j], spec.M[i], _block_rank_bound(spec, j, i), p)
-        for (j, i) in refs
-    }
+def instantiate_pattern(pattern: BlockPattern, rng, p: int = MERSENNE61) -> np.ndarray:
+    """One random prime-field instantiation (int64 matrix), references drawn in sorted order."""
+    shapes = {ref: (pattern.row_sizes[r], pattern.col_sizes[c])
+              for (r, c), ref in pattern.entries.items()}
+    sampled = {ref: _sample_block(rng, *shapes[ref], pattern.budgets[ref], p)
+               for ref in sorted(shapes)}
     return _place_blocks(pattern, sampled, np.int64)
 
 
-def generic_rank_pattern(spec, pattern: BlockPattern, trials: int = 8, seed: int = 0) -> int:
+def generic_rank_pattern(pattern: BlockPattern, trials: int = 8, seed: int = 0) -> int:
     """Generic rank of a block pattern: max exact rank mod 2**61 - 1 over at
     most ``trials`` seeded trials.
 
-    No trial's rank exceeds ``pattern.flow_cap(spec)``, so a trial that
-    reaches it has the generic rank, exactly, and ends the loop.  The flow
-    is worked out only once a trial falls short of the cheaper
-    ``structural_cap`` with trials left, so one-trial calls never pay for
-    it.  Either way the result is the max over all ``trials`` trials.
+    No trial's rank exceeds ``pattern.flow_cap``, so a trial that reaches
+    it has the generic rank, exactly, and ends the loop.  The flow is worked
+    out only once a trial falls short of the cheaper ``structural_cap`` with
+    trials left, and at most once per pattern, so one-trial calls never pay
+    for it.  Either way the result is the max over all ``trials`` trials.
     """
     if trials < 1:
         raise InvalidArgument(f"trials must be >= 1, got {trials}")
-    cap, tight = pattern.structural_cap(spec), False
+    cap = pattern.structural_cap()
     best = 0
     for t in range(trials):
         rng = rng_from(seed, 0x6C, t)
-        best = max(best, rank_mod_p(instantiate_pattern(spec, pattern, rng)))
-        if best < cap and not tight and t + 1 < trials:
-            cap, tight = pattern.flow_cap(spec), True
-        if best >= cap:
+        best = max(best, rank_mod_p(instantiate_pattern(pattern, rng)))
+        if best >= cap or t + 1 == trials or best >= pattern.flow_cap:
             break
     return best
 
 
 def spec_pattern(spec) -> BlockPattern:
     """K x K block pattern of a network's stripped matrix: every nonzero cross block."""
-    K = spec.K
-    entries = {(j, i): (j, i) for j in range(K) for i in range(K) if i != j and spec.D[j][i] > 0}
-    return BlockPattern(tuple(spec.N), tuple(spec.M), entries)
+    refs = [(j, i) for j in range(spec.K) for i in range(spec.K) if i != j and spec.D[j][i] > 0]
+    return BlockPattern(tuple(spec.N), tuple(spec.M), {ref: ref for ref in refs},
+                        {ref: _block_rank_bound(spec, *ref) for ref in refs})
 
 
 def generic_rank(spec, trials: int = 8, seed: int = 0) -> int:
     """Generic rank of the stripped overall channel matrix (desired blocks zeroed)."""
-    return generic_rank_pattern(spec, spec_pattern(spec), trials, seed)
+    return generic_rank_pattern(spec_pattern(spec), trials, seed)

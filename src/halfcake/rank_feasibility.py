@@ -107,7 +107,7 @@ def _lemma1_flow(spec: NetworkSpec):
     """
     if not spec.is_square:
         raise NotSquareCase("reduced-rank sums are defined for the square case")
-    value, flow, reach_rx, reach_tx = spec_pattern(spec).max_flow(spec)
+    value, flow, reach_rx, reach_tx = spec_pattern(spec).max_flow()
     cert = None
     if value == spec.M_sigma:
         rows = [[0] * spec.K for _ in range(spec.K)]
@@ -250,9 +250,9 @@ def _generically_full(spec: NetworkSpec, trials: int, seed) -> bool:
     if trials < 1:
         raise InvalidArgument(f"trials must be >= 1, got {trials}")
     pattern = spec_pattern(spec)
-    if pattern.structural_cap(spec) < spec.M_sigma:
+    if pattern.structural_cap() < spec.M_sigma:
         return False
-    return generic_rank_pattern(spec, pattern, trials, seed) == spec.M_sigma
+    return generic_rank_pattern(pattern, trials, seed) == spec.M_sigma
 
 
 def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8
@@ -304,8 +304,8 @@ def lemma1_equivalence_run(seed: int = 0, trials: int = 8) -> dict:
     its seed for inspection.  The rank side is answered without sampling on
     a spec whose ``structural_cap`` is below M_sigma (183 of the 200 at seed
     0): that cap is a cut, so the generic rank is below M_sigma too and the
-    answer is the sampled one.  It reads the cap, never the flow, so the
-    flow is still checked against an independent rank test.
+    answer is the sampled one.  The flow only ends a spec's trials early,
+    once a sampled rank reaches it, so the rank side is still a sampled test.
     """
     from .channel_model import random_square_spec
 

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .exact_linalg import (
     BlockPattern,
+    _block_rank_bound,
     _place_blocks,
     generic_rank_pattern,
     rank,
@@ -255,9 +256,8 @@ def cooperate(spec: NetworkSpec, plan: ReplicationPlan) -> BlockPattern:
     entries = {(rows[(j, beta)], cols[(i, alpha)]): (j, i)
                for (j, beta, i), alpha in plan.assign.items()
                if (j, beta) in rows and (i, alpha) in cols}
-    return BlockPattern(
-        tuple(spec.N[u] for u, _ in g2), tuple(spec.M[u] for u, _ in g1), entries
-    )
+    return BlockPattern(tuple(spec.N[u] for u, _ in g2), tuple(spec.M[u] for u, _ in g1), entries,
+                        {ref: _block_rank_bound(spec, *ref) for ref in entries.values()})
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,7 @@ def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed:
         raise NonUniformMu(f"sum-DoF bound needs uniform replica counts, got mu {list(plan.mu)}")
     pattern = cooperate(spec, plan)
     if realization is None:
-        rank_val = generic_rank_pattern(spec, pattern, trials=trials, seed=seed)
+        rank_val = generic_rank_pattern(pattern, trials=trials, seed=seed)
         method = f"generic-prime-field(trials={trials})"
     else:
         domain = realization.domain
@@ -361,7 +361,7 @@ def candidate_potentials(spec: NetworkSpec, mu, shifts, cuts, swap) -> np.ndarra
     ``mu`` is an array, so one call scores rows of mixed counts), shift
     table ``shifts[n]`` (K x K, diagonal ignored), contiguous cuts
     ``cuts[n]`` and, where ``swap[n]``, the two groups exchanged.  Each
-    value is ``sum(pattern.shape) - pattern.structural_cap(spec)`` for
+    value is ``sum(pattern.shape) - pattern.structural_cap()`` for
     ``pattern = cooperate(spec, plan)``, without building either: receiver
     copy (j, b) in group 2 hears transmitter copy (i, (b + s_ji) % mu),
     so its row budget sums D[j][i] over the i whose
@@ -514,15 +514,15 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     table within its batch in the offset-class phase and its draw index in
     the random phase, whose rows are scored in one call once ``_CHUNK`` of
     them have passed the floor, and once at the end.
-    A pattern seen for the first time counts as one rank evaluation and
-    gets its max-flow cap (``BlockPattern.flow_cap``), which no rank
-    exceeds; only when (Mbar1 + Nbar2 - cap) / mu, with its mu and plan
-    encoding, still beats the best key does it pay for its generic rank
-    over 2**61-1 (``generic_rank_pattern`` at ``certify_trials``, which
-    stops at the first trial that reaches the cap), seeded by that
-    evaluation's index, so a pattern skipped once and ranked at a later
-    memo hit gets the same rank, and the rank the search compares is the
-    one it returns.
+    A pattern seen for the first time counts as one rank evaluation; the
+    memo keeps it, and with it its max-flow cap (``BlockPattern.flow_cap``,
+    worked out once), which no rank exceeds.  Only when (Mbar1 + Nbar2 -
+    cap) / mu, with its mu and plan encoding, still beats the best key does
+    it pay for its generic rank over 2**61-1 (``generic_rank_pattern`` at
+    ``certify_trials``, which stops at the first trial that reaches the
+    cap), seeded by that evaluation's index, so a pattern skipped once and
+    ranked at a later memo hit gets the same rank, and the rank the search
+    compares is the one it returns.
     Each row is tested against the best again when its turn comes, so the
     checks that end a phase early change nothing: the walk of a mu ends,
     between batches, once its least floor cannot beat the best (if a row's
@@ -552,7 +552,7 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     floors = _FloorTable(spec, mu_max)
     best_key = winner = None  # best_key = (value, mu, plan encoding)
     evals = 0
-    rank_memo: dict = {}  # pattern -> [generic rank or None, its eval index, flow cap]
+    rank_memo: dict = {}  # pattern key -> [generic rank or None, its eval index, first pattern]
     method = f"generic-prime-field(trials={certify_trials})"
 
     def beats_best(potential, mu):
@@ -579,16 +579,16 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
             key = (pattern.row_sizes, pattern.col_sizes, tuple(sorted(pattern.entries.items())))
             if key not in rank_memo:
                 evals += 1
-                rank_memo[key] = [None, evals, pattern.flow_cap(spec)]
-            rank_val, index, cap = rank_memo[key]
-            total, encoding = sum(pattern.shape), plan.encoding()
+                rank_memo[key] = [None, evals, pattern]
+            rank_val, index, pattern = rank_memo[key]
+            cap, total, encoding = pattern.flow_cap, sum(pattern.shape), plan.encoding()
             # no rank exceeds the flow cap, so a plan whose floor key is not below the
             # best cannot win, and its rank is left to a later memo hit that needs it
             if best_key is not None and (Fraction(total - cap, mu), mu, encoding) >= best_key:
                 continue
             if rank_val is None:
                 rank_val = rank_memo[key][0] = generic_rank_pattern(
-                    spec, pattern, trials=certify_trials, seed=(seed, index))
+                    pattern, trials=certify_trials, seed=(seed, index))
             cand_key = (Fraction(total - rank_val, mu), mu, encoding)
             if best_key is None or cand_key < best_key:
                 Nbar2, Mbar1 = pattern.shape

@@ -150,7 +150,7 @@ def test_feasibility_runs_one_max_flow(tmp_path, monkeypatch, capsys):
                            "verdict": half_cake_verdict(spec).to_json()},
                           indent=2, sort_keys=True) + "\n"
         monkeypatch.setattr(BlockPattern, "max_flow",
-                            lambda pattern, spec: flows.append(1) or max_flow(pattern, spec))
+                            lambda pattern: flows.append(1) or max_flow(pattern))
         assert main(["feasibility", "--spec", _write_spec(tmp_path, spec)]) == 0
         monkeypatch.undo()
         assert len(flows) == 1 and capsys.readouterr().out == want

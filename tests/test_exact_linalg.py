@@ -1,5 +1,6 @@
 """Kernels: exact prime-field rank, null spaces, generic-rank certification."""
 
+import dataclasses
 from collections import defaultdict, deque
 from itertools import combinations
 
@@ -213,7 +214,7 @@ def test_generic_rank_monotone_under_rank_increase():
 def test_generic_rank_structural_cap():
     for t in range(20):
         spec = random_square_spec((77, t), K_max=4, M_max=5)
-        cap = spec_pattern(spec).structural_cap(spec)
+        cap = spec_pattern(spec).structural_cap()
         by_cols = sum(min(spec.M[i], sum(spec.D[j][i] for j in range(spec.K) if j != i))
                       for i in range(spec.K))
         by_rows = sum(min(spec.N[j], sum(spec.D[j][i] for i in range(spec.K) if i != j))
@@ -423,7 +424,7 @@ def _circulant_cooperation(seed: int, p: int) -> np.ndarray:
     """One instantiation of the cooperation pattern of a random circulant plan."""
     rng = np.random.default_rng(seed)
     spec = random_square_spec((seed, 0x5C), K_min=3, K_max=4, M_max=6)
-    return instantiate_pattern(spec, _circulant_pattern(spec, rng, 2, 5), rng, p)
+    return instantiate_pattern(_circulant_pattern(spec, rng, 2, 5), rng, p)
 
 
 def _repeated_blocks(seed: int, p: int) -> np.ndarray:
@@ -507,13 +508,13 @@ def _flow_cap_cases():
 def test_flow_cap_bounds_every_trial_and_ends_trials_exactly():
     stopped_early = 0
     for n, (spec, pattern) in enumerate(_flow_cap_cases()):
-        flow, structural = pattern.flow_cap(spec), pattern.structural_cap(spec)
+        flow, structural = pattern.flow_cap, pattern.structural_cap()
         assert flow <= structural
-        ranks = [rank_mod_p(instantiate_pattern(spec, pattern, rng_from(n, 0x6C, t)))
+        ranks = [rank_mod_p(instantiate_pattern(pattern, rng_from(n, 0x6C, t)))
                  for t in range(8)]
         assert max(ranks) <= flow
         # the early stop returns what a run of all 8 trials returns
-        assert generic_rank_pattern(spec, pattern, trials=8, seed=n) == max(ranks)
+        assert generic_rank_pattern(pattern, trials=8, seed=n) == max(ranks)
         stopped_early += max(ranks) == flow < structural
     assert stopped_early >= 8  # the flow, not the structural cap, ends these trials
 
@@ -572,7 +573,9 @@ def _random_block_pattern(t):
     tx = rng.integers(0, K, size=int(rng.integers(1, 7)))
     entries = {(r, c): (int(j), int(i)) for r, j in enumerate(rx) for c, i in enumerate(tx)
                if j != i and rng.random() < 0.7}
-    return spec, BlockPattern(tuple(spec.N[j] for j in rx), tuple(spec.M[i] for i in tx), entries)
+    budgets = {ref: _block_rank_bound(spec, *ref) for ref in entries.values()}
+    return spec, BlockPattern(tuple(spec.N[j] for j in rx), tuple(spec.M[i] for i in tx), entries,
+                              budgets)
 
 
 def test_max_flow_value_and_cut_do_not_depend_on_the_visiting_order():
@@ -583,7 +586,7 @@ def test_max_flow_value_and_cut_do_not_depend_on_the_visiting_order():
     cases += [_random_block_pattern(t) for t in range(300)]
     zero_budget = repeated = cut = 0
     for spec, pattern in cases:
-        value, flow, reach_rows, reach_cols = pattern.max_flow(spec)
+        value, flow, reach_rows, reach_cols = pattern.max_flow()
         assert (value, reach_rows, reach_cols) == _sorted_order_max_flow(spec, pattern)
         # the flow on each block is a feasible flow of that value
         assert sum(flow.values()) == value
@@ -594,11 +597,26 @@ def test_max_flow_value_and_cut_do_not_depend_on_the_visiting_order():
         for c, size in enumerate(pattern.col_sizes):
             assert sum(f for (_, cc), f in flow.items() if cc == c) <= size
         refs = list(pattern.entries.values())
+        assert all(pattern.budgets[ref] == _block_rank_bound(spec, *ref) for ref in refs)
         zero_budget += any(_block_rank_bound(spec, j, i) == 0 for j, i in refs)
         repeated += len(set(refs)) < len(refs)
         cut += bool(reach_rows or reach_cols)
     # zero budgets, repeated references and nonempty cuts are all exercised
     assert min(zero_budget, repeated, cut) >= 100
+
+
+def test_flow_is_above_the_rank_of_a_stacked_repeat():
+    """[A; A] with A of rank 2 has rank 2, while the flow allows two blocks of
+    rank 2; two distinct references in the same places reach the flow."""
+    repeat = BlockPattern((4, 4), (4,), {(0, 0): (1, 0), (1, 0): (1, 0)}, {(1, 0): 2})
+    assert repeat.flow_cap == 4
+    assert generic_rank_pattern(repeat, trials=8) == 2
+    distinct = BlockPattern((4, 4), (4,), {(0, 0): (1, 0), (1, 0): (2, 0)},
+                            {(1, 0): 2, (2, 0): 2})
+    assert distinct.flow_cap == 4
+    assert generic_rank_pattern(distinct, trials=8) == 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        repeat.budgets = {(1, 0): 4}
 
 
 def test_rng_from_matches_default_rng_of_seed_key():

@@ -92,7 +92,7 @@ def test_feasibility_evidence_runs_one_max_flow(monkeypatch, reduced_spec):
     calls = []
     flow = BlockPattern.max_flow
     monkeypatch.setattr(BlockPattern, "max_flow",
-                        lambda pattern, spec: calls.append(spec) or flow(pattern, spec))
+                        lambda pattern: calls.append(pattern) or flow(pattern))
     evidence = feasibility_evidence(reduced_spec)
     assert len(calls) == 1
     assert evidence["certificate"] == reduced_rank_feasible(reduced_spec).to_json()
@@ -128,7 +128,7 @@ def test_feasibility_evidence_pinned_on_corpus():
     for spec in _flow_corpus():
         evidence = feasibility_evidence(spec)
         # Lemma 1's flow is the block max flow of the stripped pattern
-        assert spec_pattern(spec).flow_cap(spec) == evidence["max_flow"]
+        assert spec_pattern(spec).flow_cap == evidence["max_flow"]
         texts.append(json.dumps(evidence, sort_keys=True))
     assert len(texts) == 2404 and sum('"feasible": true' in t for t in texts) == 1150
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == FLOW_DIGEST

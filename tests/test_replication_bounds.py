@@ -348,7 +348,7 @@ def test_outer_bound_pinned_on_large_circulant_plans(case):
                                        contiguous_partition([mu] * spec.K, cuts))
     bound = outer_bound(spec, plan, trials=8, seed=0)
     assert (bound.rank, bound.value) == LADDER_PINS[case]
-    assert bound.rank == cooperate(spec, plan).flow_cap(spec)
+    assert bound.rank == cooperate(spec, plan).flow_cap
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,7 @@ def test_candidate_potentials_match_cooperation():
             if swap[n]:
                 plan = ReplicationPlan(plan.mu, plan.assign, plan.partition[::-1])
             pattern = cooperate(spec, plan)
-            assert got[n] == sum(pattern.shape) - pattern.structural_cap(spec)
+            assert got[n] == sum(pattern.shape) - pattern.structural_cap()
             checked += 1
     assert checked == 600
 
@@ -627,6 +627,29 @@ def test_search_winner_matches_outer_bound(monkeypatch):
         assert (got.to_json(), got.rank) == (want.to_json(), want.rank)
 
 
+def test_search_runs_one_flow_per_pattern(monkeypatch):
+    """Each distinct cooperation pattern a search builds gets one max flow: the
+    search's flow cap and the rank's early stop share it."""
+    from halfcake import BlockPattern, replication_bounds
+
+    keys, flows = set(), []
+    build, max_flow = replication_bounds.cooperate, BlockPattern.max_flow
+
+    def record(spec, plan):
+        pattern = build(spec, plan)
+        keys.add((pattern.row_sizes, pattern.col_sizes, tuple(sorted(pattern.entries.items()))))
+        return pattern
+
+    monkeypatch.setattr(replication_bounds, "cooperate", record)
+    monkeypatch.setattr(BlockPattern, "max_flow",
+                        lambda pattern: flows.append(1) or max_flow(pattern))
+    for spec, kwargs in _reuse_cases():
+        keys.clear()
+        flows.clear()
+        search_bounds(spec, **kwargs)
+        assert len(flows) == len(keys), (spec.to_json(), kwargs)
+
+
 def test_search_compares_the_certified_rank_after_an_unlucky_first_trial(monkeypatch):
     """A first trial that falls short of the generic rank does not decide the search:
     it compares the rank of up to ``certify_trials`` trials, so it answers as if the
@@ -643,11 +666,11 @@ def test_search_compares_the_certified_rank_after_an_unlucky_first_trial(monkeyp
         armed.append(True)
         return rank_pattern(*args, **kwargs)
 
-    def zero_once_armed(spec, pattern, *args, **kwargs):
+    def zero_once_armed(pattern, *args, **kwargs):
         if armed:  # the first trial of every rank call instantiates a zero matrix
             armed.clear()
             return np.zeros(pattern.shape, dtype=np.int64)
-        return instantiate(spec, pattern, *args, **kwargs)
+        return instantiate(pattern, *args, **kwargs)
 
     monkeypatch.setattr(replication_bounds, "generic_rank_pattern", arm)
     monkeypatch.setattr(exact_linalg, "instantiate_pattern", zero_once_armed)
