@@ -316,63 +316,63 @@ class BlockPattern:
         return self.max_flow()[0]
 
     def max_flow(self):
-        """Edmonds-Karp max flow source -> block column (its size) -> block
-        (its rank budget) -> block row (its size) -> sink.
+        """Max flow from the block columns (each supplies its size) through
+        the blocks (each carries up to its rank budget) to the block rows
+        (each takes its size).  On ``spec_pattern`` the columns are
+        transmitters supplying M_i, the rows receivers taking N_j, and a
+        saturating flow is Lemma 1's reduced-rank certificate.
 
-        Each block is one arc from its column to its row.  This one network
-        serves both the rank cap and Lemma 1's transportation test: on
-        ``spec_pattern`` the columns are transmitters supplying M_i, the rows
-        receivers taking N_j, and a saturating flow is a reduced-rank
-        certificate.  Nodes are the columns, then the rows, then source and
-        sink, with arcs in ``entries`` order.
+        Each search for a shortest augmenting path starts from every column
+        with supply left, in column order, walks each node's blocks in
+        ``entries`` order (forward where a block has budget left, backward
+        where it carries flow) and stops at the first row with demand left.
+        So the certificate follows ``entries`` order; the value and the
+        nodes the last search visits (the minimal minimum cut) are the same
+        for every maximum flow.
 
         Returns (value, flow on each block entry as ``{(r, c): f}``, block
-        rows and block columns reachable from the source in the final
-        residual graph: the source side of a minimum cut).
+        rows and block columns the last search visited).
         """
-        R, C = len(self.row_sizes), len(self.col_sizes)
-        S, T = C + R, C + R + 1
-        cap = [{} for _ in range(C + R + 2)]
-        cap[S] = dict(enumerate(self.col_sizes))
-        for (r, c), ref in self.entries.items():
-            cap[c][C + r] = self.budgets[ref]
-        for r, size in enumerate(self.row_sizes):
-            cap[C + r][T] = size
-        # the BFS visits neighbours in set order, so the flow on each block (the
-        # certificate) depends on it; the value does not, and neither does the
-        # reachable set of the final residual graph, the minimal minimum cut,
-        # which is the same for every maximum flow
-        adjacency = [set(out) for out in cap]
-        residual = [dict(out) for out in cap]
-        for u, out in enumerate(cap):
-            for v in out:
-                adjacency[v].add(u)
-                residual[v].setdefault(u, 0)
-        value = 0
+        budget = {block: self.budgets[ref] for block, ref in self.entries.items()}
+        flow = dict.fromkeys(self.entries, 0)
+        col_rows, row_cols = [[] for _ in self.col_sizes], [[] for _ in self.row_sizes]
+        for r, c in self.entries:
+            col_rows[c].append(r)
+            row_cols[r].append(c)
+        supply, demand = list(self.col_sizes), list(self.row_sizes)
         while True:
-            parent = {S: None}
-            queue = deque([S])
-            while queue and T not in parent:
-                u = queue.popleft()
-                for v in adjacency[u]:
-                    if v not in parent and residual[u][v] > 0:
-                        parent[v] = u
-                        queue.append(v)
-            if T not in parent:
-                break
-            path = []
-            v = T
-            while parent[v] is not None:
-                path.append((parent[v], v))
-                v = parent[v]
-            push = min(residual[u][v] for u, v in path)
-            for u, v in path:
-                residual[u][v] -= push
-                residual[v][u] += push
-            value += push
-        flow = {(r, c): cap[c][C + r] - residual[c][C + r] for r, c in self.entries}
-        return (value, flow, [r for r in range(R) if C + r in parent],
-                [c for c in range(C) if c in parent])
+            # a queue of (is_row, index); the *_from dicts map each visited node to its predecessor
+            queue = deque((False, c) for c, left in enumerate(supply) if left)
+            col_from, row_from, end = {c: None for _, c in queue}, {}, None
+            while queue and end is None:
+                is_row, u = queue.popleft()
+                if is_row:
+                    for c in row_cols[u]:
+                        if c not in col_from and flow[u, c]:
+                            col_from[c] = u
+                            queue.append((False, c))
+                    continue
+                for r in col_rows[u]:
+                    if r not in row_from and flow[r, u] < budget[r, u]:
+                        row_from[r] = u
+                        if demand[r]:
+                            end = r
+                            break
+                        queue.append((True, r))
+            if end is None:
+                return sum(self.col_sizes) - sum(supply), flow, sorted(row_from), sorted(col_from)
+            path, r = [], end  # (block, +1 forward or -1 backward), back to a start column
+            while r is not None:
+                c = row_from[r]
+                path += [((r, c), 1), ((col_from[c], c), -1)]
+                r = col_from[c]
+            path.pop()  # no row leads to the start column
+            push = min(supply[c], demand[end],
+                       *(budget[b] - flow[b] if step > 0 else flow[b] for b, step in path))
+            for b, step in path:
+                flow[b] += step * push
+            supply[c] -= push
+            demand[end] -= push
 
 
 def _offsets(sizes) -> tuple:

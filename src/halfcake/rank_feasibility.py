@@ -6,12 +6,12 @@ question (supply M_i at each transmitter, demand M_j at each receiver, arc
 capacities D[j][i]), and its network is the block max flow of the stripped
 pattern, ``spec_pattern(spec).max_flow``: transmitters are its block
 columns, receivers its block rows.  Integral capacities make the optimum
-integral, so a saturating flow *is* a certificate, and by Lemma 1 it exists
-exactly when the stripped matrix is generically full rank; the earlier
-full-rank and uniform-rank results are special cases of that flow.  On top
-of that sit the explicit 3-user inequality form, the symmetric-necessity
-classification and the boundary cases that certify optimality without any
-certificate.
+integral, so a saturating flow *is* a certificate (the flow of augmenting
+paths taken in ``entries`` order), and by Lemma 1 it exists exactly when the
+stripped matrix is generically full rank; the earlier full-rank and
+uniform-rank results are special cases of that flow.  On top of that sit the
+explicit 3-user inequality form, the symmetric-necessity classification and
+the boundary cases that certify optimality without any certificate.
 """
 
 from __future__ import annotations

@@ -605,6 +605,16 @@ def test_max_flow_value_and_cut_do_not_depend_on_the_visiting_order():
     assert min(zero_budget, repeated, cut) >= 100
 
 
+def test_max_flow_takes_blocks_in_entries_order():
+    """One unit leaves the one column; rows 0 and 1 can each take it, and the
+    flow sends it through the block placed first in ``entries``."""
+    budgets = {(1, 0): 1, (2, 0): 1}
+    first = BlockPattern((1, 1), (1,), {(0, 0): (1, 0), (1, 0): (2, 0)}, budgets)
+    assert first.max_flow() == (1, {(0, 0): 1, (1, 0): 0}, [], [])
+    reverse = BlockPattern((1, 1), (1,), {(1, 0): (2, 0), (0, 0): (1, 0)}, budgets)
+    assert reverse.max_flow() == (1, {(1, 0): 1, (0, 0): 0}, [], [])
+
+
 def test_flow_is_above_the_rank_of_a_stacked_repeat():
     """[A; A] with A of rank 2 has rank 2, while the flow allows two blocks of
     rank 2; two distinct references in the same places reach the flow."""
