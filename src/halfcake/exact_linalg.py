@@ -1,18 +1,18 @@
 """Rank, null-space and generic-rank kernels over two scalar domains.
 
 Structural questions (does a block matrix with given per-block rank budgets
-have full rank for generic entries?) are decided exactly over one large
-prime field, p = 2**61 - 1: each trial instantiates the rank-bounded blocks
-with random factor products mod p and takes the exact elimination rank.
-The maximum over trials never exceeds the generic rank, and reaches it with
-per-trial failure probability at most (total degree)/p, so a handful of
-trials is a certificate for desk-scale matrices.  The trials are a
-maximum, not a fixed count: the max flow from block columns through block
-rank budgets to block rows bounds the rank of every instantiation, and a
-trial that reaches it has found the generic rank exactly and ends the loop.
-On the stripped pattern of a square network the same flow network is
-Lemma 1's transportation test, so one builder gives both the rank cap and
-the reduced-rank certificate.
+have full rank for generic entries?) are decided exactly.  The max flow from
+block columns through block rank budgets to block rows (``flow_cap``) bounds
+the rank of every instantiation, and when no reference repeats it is the
+generic rank: write the pattern as L R, each block's left factor in its
+block row and right factor in its block column; every entry of L and R is
+its own indeterminate, so by Cauchy-Binet and the Lindstrom-Gessel-Viennot
+lemma the rank counts vertex-disjoint paths.  A pattern with a repeated
+reference is sampled over p = 2**61 - 1: each trial takes the exact rank of
+random factor products mod p, which misses the generic rank with
+probability at most (total degree)/p, and a trial that reaches the flow ends
+the loop.  On the stripped pattern of a square network the flow is Lemma 1's
+transportation test, so one builder gives the rank and the certificate.
 
 An exact rank mod p is one elimination on rows of Python ints, for any
 prime p below 2**63, that follows the sparsity of its input: cooperation
@@ -430,23 +430,21 @@ def instantiate_pattern(pattern: BlockPattern, rng, p: int = MERSENNE61) -> np.n
 
 
 def generic_rank_pattern(pattern: BlockPattern, trials: int = 8, seed: int = 0) -> int:
-    """Generic rank of a block pattern: max exact rank mod 2**61 - 1 over at
-    most ``trials`` seeded trials.
+    """Generic rank of a block pattern.
 
-    No trial's rank exceeds ``pattern.flow_cap``, so a trial that reaches
-    it has the generic rank, exactly, and ends the loop.  The flow is worked
-    out only once a trial falls short of the cheaper ``structural_cap`` with
-    trials left, and at most once per pattern, so one-trial calls never pay
-    for it.  Either way the result is the max over all ``trials`` trials.
+    With no repeated reference it is ``pattern.flow_cap``, exactly, and
+    nothing is drawn.  Otherwise it is the max exact rank mod 2**61 - 1 over
+    at most ``trials`` seeded trials; no trial's rank exceeds the flow cap,
+    so a trial that reaches it has the generic rank and ends the loop.
     """
     if trials < 1:
         raise InvalidArgument(f"trials must be >= 1, got {trials}")
-    cap = pattern.structural_cap()
+    if len(set(pattern.entries.values())) == len(pattern.entries):
+        return pattern.flow_cap
     best = 0
     for t in range(trials):
-        rng = rng_from(seed, 0x6C, t)
-        best = max(best, rank_mod_p(instantiate_pattern(pattern, rng)))
-        if best >= cap or t + 1 == trials or best >= pattern.flow_cap:
+        best = max(best, rank_mod_p(instantiate_pattern(pattern, rng_from(seed, 0x6C, t))))
+        if best >= pattern.flow_cap:
             break
     return best
 
@@ -458,6 +456,7 @@ def spec_pattern(spec) -> BlockPattern:
                         {ref: _block_rank_bound(spec, *ref) for ref in refs})
 
 
-def generic_rank(spec, trials: int = 8, seed: int = 0) -> int:
-    """Generic rank of the stripped overall channel matrix (desired blocks zeroed)."""
-    return generic_rank_pattern(spec_pattern(spec), trials, seed)
+def generic_rank(spec) -> int:
+    """Generic rank of the stripped overall channel matrix (desired blocks
+    zeroed): its block max flow, as ``spec_pattern`` repeats no reference."""
+    return generic_rank_pattern(spec_pattern(spec))

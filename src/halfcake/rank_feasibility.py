@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, permutations
+from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
 from .channel_model import NetworkSpec, _json_frac
@@ -30,7 +30,8 @@ from .errors import (
     NotSymmetric,
     WrongK,
 )
-from .exact_linalg import generic_rank_pattern, spec_pattern
+from .exact_linalg import (generic_rank, instantiate_pattern, rank_mod_p, rng_from,
+                           spec_pattern)
 
 OPTIMAL_CERTIFIED = "OPTIMAL_CERTIFIED"
 MORE_THAN_HALF_POSSIBLE = "MORE_THAN_HALF_POSSIBLE"
@@ -50,17 +51,17 @@ class ReducedRankCertificate:
     def entry(self, j: int, i: int) -> int:
         return int(self.reduced_ranks[j][i])
 
-    def tx_sums(self) -> Tuple[int, ...]:
+    def _cross_rows(self) -> List[List[int]]:
+        """The K x K ranks as ints, 0 on the diagonal, each row read once."""
         K = self.K
-        return tuple(
-            sum(self.entry(j, i) for j in range(K) if j != i) for i in range(K)
-        )
+        return [[0 if i == j else int(row[i]) for i in range(K)]
+                for j, row in enumerate(self.reduced_ranks)]
+
+    def tx_sums(self) -> Tuple[int, ...]:
+        return tuple(map(sum, zip(*self._cross_rows())))
 
     def rx_sums(self) -> Tuple[int, ...]:
-        K = self.K
-        return tuple(
-            sum(self.entry(j, i) for i in range(K) if i != j) for j in range(K)
-        )
+        return tuple(map(sum, self._cross_rows()))
 
     def to_json(self) -> list:
         return [[None if v is None else int(v) for v in row] for row in self.reduced_ranks]
@@ -76,19 +77,16 @@ def validate_certificate(spec: NetworkSpec, cert: ReducedRankCertificate
     """Enforce entrywise caps and both sum families; raises when violated."""
     if cert.K != spec.K:
         raise CertificateInfeasible("certificate size disagrees with the spec")
-    for j in range(spec.K):
-        for i in range(spec.K):
-            if i == j:
-                continue
-            v = cert.entry(j, i)
-            if v < 0 or v > spec.D[j][i]:
+    rows = cert._cross_rows()
+    for j, row in enumerate(rows):
+        for i, v in enumerate(row):
+            if i != j and not 0 <= v <= spec.D[j][i]:
                 raise CertificateInfeasible(
                     f"entry ({j + 1},{i + 1}) = {v} outside [0, D] = [0, {spec.D[j][i]}]"
                 )
-    if cert.tx_sums() != spec.M or cert.rx_sums() != spec.M:
-        raise CertificateInfeasible(
-            f"sums {cert.rx_sums()} / {cert.tx_sums()} do not all equal M = {spec.M}"
-        )
+    tx, rx = tuple(map(sum, zip(*rows))), tuple(map(sum, rows))
+    if tx != spec.M or rx != spec.M:
+        raise CertificateInfeasible(f"sums {rx} / {tx} do not all equal M = {spec.M}")
     return cert
 
 
@@ -239,24 +237,7 @@ def classify_symmetric_3user(spec: NetworkSpec) -> SymmetricClassification:
 # ---------------------------------------------------------------------------
 
 
-def _generically_full(spec: NetworkSpec, trials: int, seed) -> bool:
-    """Whether the stripped matrix is generically full rank (rank M_sigma).
-
-    ``structural_cap`` is a cut, so no instantiation's rank exceeds it: a
-    spec whose cap is below M_sigma is answered without sampling, and the
-    answer is the one ``generic_rank(spec, trials, seed) == spec.M_sigma``
-    gives.  Every other spec is sampled with that seed.
-    """
-    if trials < 1:
-        raise InvalidArgument(f"trials must be >= 1, got {trials}")
-    pattern = spec_pattern(spec)
-    if pattern.structural_cap() < spec.M_sigma:
-        return False
-    return generic_rank_pattern(pattern, trials, seed) == spec.M_sigma
-
-
-def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8
-                        ) -> Optional[ReducedRankCertificate]:
+def necessity_reduction(spec: NetworkSpec) -> Optional[ReducedRankCertificate]:
     """Extract a certificate by greedily lowering cross ranks.
 
     Visits the cross links (j, i) in lexicographic order and lowers D[j][i]
@@ -267,25 +248,18 @@ def necessity_reduction(spec: NetworkSpec, seed: int = 0, trials: int = 8
     certificate.  Different visiting orders can produce different (all
     valid) certificates.  Returns None when the stripped matrix is not
     generically full rank.
-
-    A spec (given or lowered) whose ``structural_cap`` is below M_sigma
-    fails its check without sampling; its generic rank is at most that cap,
-    so the sampled check failed on it too and no certificate changes.  The
-    check index in each lowered check's seed ``(seed, 0xA1, n)`` still
-    advances on such a spec, so every later check keeps its seed.
     """
     if not spec.is_square:
         raise NotSquareCase("reduction is defined for the square case")
-    if not _generically_full(spec, trials, seed):
+    if generic_rank(spec) != spec.M_sigma:
         return None
     D = [list(row) for row in spec.D]
-    checks = count()
     for j in range(spec.K):
         for i in range(spec.K):
             while i != j and D[j][i] > 0:
                 D[j][i] -= 1
                 lowered = NetworkSpec(spec.M, spec.N, tuple(map(tuple, D)))
-                if not _generically_full(lowered, trials, (seed, 0xA1, next(checks))):
+                if generic_rank(lowered) != spec.M_sigma:
                     D[j][i] += 1
                     break
     return validate_certificate(spec, ReducedRankCertificate.from_rows(D))
@@ -301,21 +275,24 @@ def lemma1_equivalence_run(seed: int = 0, trials: int = 8) -> dict:
     random square specs of 2 to 4 users with 1 to 5 antennas each.
 
     The two must agree on every instance; any disagreement is returned with
-    its seed for inspection.  The rank side is answered without sampling on
-    a spec whose ``structural_cap`` is below M_sigma (183 of the 200 at seed
-    0): that cap is a cut, so the generic rank is below M_sigma too and the
-    answer is the sampled one.  The flow only ends a spec's trials early,
-    once a sampled rank reaches it, so the rank side is still a sampled test.
+    its seed for inspection.  The rank side never reads the flow: it is full
+    when ``structural_cap`` (a cut, so a bound on every rank) reaches
+    M_sigma and one of ``trials`` seeded instantiations has rank M_sigma.
     """
     from .channel_model import random_square_spec
 
+    if trials < 1:
+        raise InvalidArgument(f"trials must be >= 1, got {trials}")
     count = 200
     disagreements = []
     feasible_count = 0
     for t in range(count):
         spec = random_square_spec((seed, t))
-        flow_ok = reduced_rank_feasible(spec) is not None
-        rank_ok = _generically_full(spec, trials, (seed, t))
+        pattern = spec_pattern(spec)
+        flow_ok = pattern.flow_cap == spec.M_sigma
+        rank_ok = pattern.structural_cap() >= spec.M_sigma and any(
+            rank_mod_p(instantiate_pattern(pattern, rng_from((seed, t), 0x6C, k))) == spec.M_sigma
+            for k in range(trials))
         feasible_count += flow_ok
         if flow_ok != rank_ok:
             disagreements.append({"seed": t, "spec": spec.to_json(),

@@ -295,8 +295,9 @@ def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed:
                 realization: Optional[ChannelRealization] = None) -> DofBound:
     """Sum-DoF outer bound (Mbar1 + Nbar2 - rank) / mu for a uniform plan.
 
-    The rank is the generic one over 2**61-1, or that of ``realization``'s
-    blocks placed in the cross matrix when one is given.
+    The rank is the generic one (``generic_rank_pattern``: the block max flow
+    when no reference repeats, else sampled over 2**61-1), or that of
+    ``realization``'s blocks placed in the cross matrix when one is given.
     """
     if len(set(plan.mu)) > 1:
         raise NonUniformMu(f"sum-DoF bound needs uniform replica counts, got mu {list(plan.mu)}")
@@ -518,11 +519,12 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     memo keeps it, and with it its max-flow cap (``BlockPattern.flow_cap``,
     worked out once), which no rank exceeds.  Only when (Mbar1 + Nbar2 -
     cap) / mu, with its mu and plan encoding, still beats the best key does
-    it pay for its generic rank over 2**61-1 (``generic_rank_pattern`` at
-    ``certify_trials``, which stops at the first trial that reaches the
-    cap), seeded by that evaluation's index, so a pattern skipped once and
-    ranked at a later memo hit gets the same rank, and the rank the search
-    compares is the one it returns.
+    it pay for its generic rank (``generic_rank_pattern`` at
+    ``certify_trials``: the cap itself when no reference repeats, else trials
+    over 2**61-1 that stop at the first to reach it), seeded by that
+    evaluation's index, so a pattern skipped once and ranked at a later memo
+    hit gets the same rank, and the rank the search compares is the one it
+    returns.
     Each row is tested against the best again when its turn comes, so the
     checks that end a phase early change nothing: the walk of a mu ends,
     between batches, once its least floor cannot beat the best (if a row's

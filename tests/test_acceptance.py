@@ -58,7 +58,7 @@ def test_acceptance_1_counterexample_reproduction():
         verdict = half_cake_verdict(spec, seed=0, trials=8)
         assert verdict.status != "OPTIMAL_CERTIFIED"
         assert verdict.certificate is None
-        assert generic_rank(spec, trials=8, seed=0) == 23
+        assert generic_rank(spec) == 23
         ext = extend_ergodic_pair(spec, seed=0)
         scheme = counterexample_scheme(ext, seed=0)
         report = verify_scheme(ext, scheme, tol=1e-8)

@@ -181,18 +181,21 @@ def test_left_null_space_rows_annihilate():
 
 
 def test_generic_rank_counterexample_and_reduced(counterexample_spec, reduced_spec):
-    assert generic_rank(counterexample_spec, trials=8, seed=0) == 23
-    assert generic_rank(reduced_spec, trials=8, seed=0) == 24
+    assert generic_rank(counterexample_spec) == 23
+    assert generic_rank(reduced_spec) == 24
 
 
 def test_generic_rank_zero_cross():
     spec = NetworkSpec.square((2, 3), default="zero")
-    assert generic_rank(spec, trials=4, seed=0) == 0
+    assert generic_rank(spec) == 0
 
 
-def test_generic_rank_monotone_in_trials(reduced_spec):
-    r1 = generic_rank(reduced_spec, trials=1, seed=4)
-    r8 = generic_rank(reduced_spec, trials=8, seed=4)
+def test_generic_rank_monotone_in_trials():
+    # a cooperation pattern repeats references, so its rank is sampled
+    pattern = cooperate(presets.rect_2x3_network(), presets.rect_2x3_plan())
+    assert len(set(pattern.entries.values())) < len(pattern.entries)
+    r1 = generic_rank_pattern(pattern, trials=1, seed=4)
+    r8 = generic_rank_pattern(pattern, trials=8, seed=4)
     assert r1 <= r8
 
 
@@ -208,7 +211,7 @@ def test_generic_rank_monotone_under_rank_increase():
                 cap = min(spec.M[i], spec.M[j])
                 raised[(j, i)] = int(min(cap, spec.D[j][i] + rng.integers(0, 2)))
         bigger = NetworkSpec.square(spec.M, raised)
-        assert generic_rank(spec, 4, t) <= generic_rank(bigger, 4, t)
+        assert generic_rank(spec) <= generic_rank(bigger)
 
 
 def test_generic_rank_structural_cap():
@@ -220,7 +223,7 @@ def test_generic_rank_structural_cap():
         by_rows = sum(min(spec.N[j], sum(spec.D[j][i] for i in range(spec.K) if i != j))
                       for j in range(spec.K))
         assert cap <= min(by_cols, by_rows)
-        assert generic_rank(spec, trials=4, seed=t) <= cap
+        assert generic_rank(spec) <= cap
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +240,17 @@ def _lowered(spec, j, i):
 
 def test_lowering_two_user_single_rank_loses_full_rank():
     spec = NetworkSpec.square((1, 1))
-    assert generic_rank(_lowered(spec, 0, 1), trials=4, seed=0) < 2
+    assert generic_rank(_lowered(spec, 0, 1)) < 2
 
 
 def test_lowering_reduced_example_spare_rank_keeps_full_rank(reduced_spec):
     # block (1,3) has rank 3 but only 2 are needed
-    assert generic_rank(_lowered(reduced_spec, 0, 2), trials=8, seed=0) == 24
+    assert generic_rank(_lowered(reduced_spec, 0, 2)) == 24
 
 
 def test_lowering_counterexample_stays_below_full_rank(counterexample_spec):
     for j, i in [(0, 1), (1, 0), (2, 0)]:
-        assert generic_rank(_lowered(counterexample_spec, j, i), trials=4, seed=1) < 24
+        assert generic_rank(_lowered(counterexample_spec, j, i)) < 24
 
 
 def test_scalar_domain_validation():
@@ -264,7 +267,7 @@ def test_bad_trials_and_domain_tags_raise_invalid_argument():
 
     assert issubclass(InvalidArgument, HalfCakeError) and issubclass(InvalidArgument, ValueError)
     with pytest.raises(InvalidArgument):
-        generic_rank(NetworkSpec.square((2, 2)), trials=0)
+        generic_rank_pattern(spec_pattern(NetworkSpec.square((2, 2))), trials=0)
     for tag in ("prime:7", "prime:", "prime:x", "primes", "bogus"):
         with pytest.raises(InvalidArgument):
             ScalarDomain.from_tag(tag)
@@ -615,16 +618,65 @@ def test_max_flow_takes_blocks_in_entries_order():
     assert reverse.max_flow() == (1, {(1, 0): 1, (0, 0): 0}, [], [])
 
 
-def test_flow_is_above_the_rank_of_a_stacked_repeat():
+def _count_instantiations(monkeypatch) -> list:
+    """Record every ``instantiate_pattern`` call the generic-rank code makes."""
+    from halfcake import exact_linalg
+
+    calls = []
+    monkeypatch.setattr(exact_linalg, "instantiate_pattern",
+                        lambda *a, **kw: calls.append(1) or instantiate_pattern(*a, **kw))
+    return calls
+
+
+def _distinct_block_pattern(t):
+    """Random block rows and columns of 1 to 4 antennas, each block its own
+    reference, with budgets from 0 to the block's full rank."""
+    rng = np.random.default_rng((0xD15C, t))
+    rows = tuple(int(v) for v in rng.integers(1, 5, size=int(rng.integers(1, 6))))
+    cols = tuple(int(v) for v in rng.integers(1, 5, size=int(rng.integers(1, 6))))
+    entries = {(r, c): (r, c) for r in range(len(rows)) for c in range(len(cols))
+               if rng.random() < 0.6}
+    budgets = {(r, c): int(rng.integers(0, min(rows[r], cols[c]) + 1)) for r, c in entries}
+    return BlockPattern(rows, cols, entries, budgets)
+
+
+def test_generic_rank_of_distinct_references_is_the_flow(monkeypatch):
+    """With no repeated reference the generic rank is the block max flow: the
+    max of 8 sampled trials reaches it, and ``generic_rank_pattern`` returns
+    it without drawing anything."""
+    patterns = [_distinct_block_pattern(t) for t in range(120)]
+    zero = full = short = 0
+    for t, pattern in enumerate(patterns):
+        ranks = [rank_mod_p(instantiate_pattern(pattern, rng_from(t, 0x6C, k))) for k in range(8)]
+        assert max(ranks) == pattern.flow_cap
+        shape_cap = {ref: min(pattern.row_sizes[ref[0]], pattern.col_sizes[ref[1]])
+                     for ref in pattern.entries}
+        zero += 0 in pattern.budgets.values()
+        full += any(pattern.budgets[ref] == shape_cap[ref] for ref in pattern.entries)
+        short += pattern.flow_cap < min(pattern.shape)
+    # zero budgets, full-rank blocks and rank-deficient patterns are all exercised
+    assert min(zero, full, short) >= 30
+    calls = _count_instantiations(monkeypatch)
+    assert [generic_rank_pattern(pattern, trials=8, seed=t) for t, pattern in enumerate(patterns)
+            ] == [pattern.flow_cap for pattern in patterns]
+    assert calls == []
+
+
+def test_flow_is_above_the_rank_of_a_stacked_repeat(monkeypatch):
     """[A; A] with A of rank 2 has rank 2, while the flow allows two blocks of
-    rank 2; two distinct references in the same places reach the flow."""
+    rank 2; two distinct references in the same places reach the flow.  The
+    repeat is sampled, all 8 trials since none reaches the flow, and the
+    distinct pattern is answered by its flow without a draw."""
+    calls = _count_instantiations(monkeypatch)
     repeat = BlockPattern((4, 4), (4,), {(0, 0): (1, 0), (1, 0): (1, 0)}, {(1, 0): 2})
     assert repeat.flow_cap == 4
     assert generic_rank_pattern(repeat, trials=8) == 2
+    assert len(calls) == 8
     distinct = BlockPattern((4, 4), (4,), {(0, 0): (1, 0), (1, 0): (2, 0)},
                             {(1, 0): 2, (2, 0): 2})
     assert distinct.flow_cap == 4
     assert generic_rank_pattern(distinct, trials=8) == 4
+    assert len(calls) == 8
     with pytest.raises(dataclasses.FrozenInstanceError):
         repeat.budgets = {(1, 0): 4}
 

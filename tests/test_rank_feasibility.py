@@ -25,7 +25,7 @@ from halfcake import (
     validate_certificate,
 )
 from halfcake import presets
-from halfcake.exact_linalg import spec_pattern
+from halfcake.exact_linalg import instantiate_pattern, rank_mod_p, rng_from, spec_pattern
 from halfcake.errors import (
     ConditionFails,
     NotSquareCase,
@@ -308,19 +308,19 @@ def test_symmetric_allocation_condition_fails():
 
 
 def test_necessity_reduction_reduced_example(reduced_spec):
-    cert = necessity_reduction(reduced_spec, seed=0, trials=6)
+    cert = necessity_reduction(reduced_spec)
     assert cert is not None
     assert cert.rx_sums() == (10, 8, 6) and cert.tx_sums() == (10, 8, 6)
 
 
 def test_necessity_reduction_two_user_keeps_everything():
     spec = NetworkSpec.square((3, 3))
-    cert = necessity_reduction(spec, seed=0, trials=4)
+    cert = necessity_reduction(spec)
     assert cert.entry(0, 1) == 3 and cert.entry(1, 0) == 3
 
 
 def test_necessity_reduction_infeasible_returns_none(counterexample_spec):
-    assert necessity_reduction(counterexample_spec, seed=0, trials=4) is None
+    assert necessity_reduction(counterexample_spec) is None
 
 
 def test_necessity_reduction_matches_flow_row_sums():
@@ -332,7 +332,7 @@ def test_necessity_reduction_matches_flow_row_sums():
             continue  # dominant user: full-rank cross still infeasible
         spec = NetworkSpec.square(M)
         assert reduced_rank_feasible(spec) is not None
-        cert = necessity_reduction(spec, seed=hits, trials=6)
+        cert = necessity_reduction(spec)
         assert cert is not None
         assert cert.tx_sums() == spec.M and cert.rx_sums() == spec.M
         hits += 1
@@ -344,96 +344,90 @@ def test_necessity_reduction_rejects_non_square():
 
 
 def _reduction_corpus():
-    """(spec, necessity_reduction keywords) of the 239 runs that ``REDUCTION_DIGEST`` pins."""
-    yield presets.reduced_example_network(), dict(seed=0, trials=6)
-    yield NetworkSpec.square((3, 3)), dict(seed=0, trials=4)
-    yield presets.counterexample_network(), dict(seed=0, trials=4)
+    """The specs of the 239 ``necessity_reduction`` runs that ``REDUCTION_DIGEST`` pins."""
+    yield presets.reduced_example_network()
+    yield NetworkSpec.square((3, 3))
+    yield presets.counterexample_network()
     rng = np.random.default_rng(55)
     hits = 0
     while hits < 6:
         M = tuple(int(v) for v in rng.integers(1, 4, size=3))
         if max(M) <= sum(M) - max(M):
-            yield NetworkSpec.square(M), dict(seed=hits, trials=6)
+            yield NetworkSpec.square(M)
             hits += 1
     for t in range(150):
-        yield random_square_spec((77, t)), dict(seed=t)
+        yield random_square_spec((77, t))
     t = hits = 0
     while hits < 80:
         spec = random_square_spec((78, t), K_min=2, K_max=4, M_max=4)
         if reduced_rank_feasible(spec) is not None:
-            yield spec, dict(seed=t)
+            yield spec
             hits += 1
         t += 1
 
 
-#: SHA-256 of the newline-joined ``necessity_reduction(...)`` certificates
+#: SHA-256 of the newline-joined ``necessity_reduction(spec)`` certificates
 #: (``to_json()``, or null) over ``_reduction_corpus()``, in its order,
 #: recorded with the rank-1 coefficient determinant tests this replaced
 REDUCTION_DIGEST = "ac7b90bb682ef611ca49c486cd637b4b4790927c93d57a29c38a726c1db01c18"
 
 
 def test_necessity_reduction_pinned_on_corpus():
-    certs = [necessity_reduction(spec, **kwargs) for spec, kwargs in _reduction_corpus()]
+    certs = [necessity_reduction(spec) for spec in _reduction_corpus()]
     assert len(certs) == 239 and sum(c is not None for c in certs) == 96
     texts = [json.dumps(None if c is None else c.to_json()) for c in certs]
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == REDUCTION_DIGEST
 
 
-def _count_generic_rank_pattern(monkeypatch) -> list:
-    """Record every ``generic_rank_pattern`` call, made directly or through ``generic_rank``."""
-    from halfcake import exact_linalg, rank_feasibility
-
-    calls = []
-    rank_pattern = exact_linalg.generic_rank_pattern
-    for module in (exact_linalg, rank_feasibility):
-        if hasattr(module, "generic_rank_pattern"):
-            monkeypatch.setattr(module, "generic_rank_pattern",
-                                lambda *a, **kw: calls.append(1) or rank_pattern(*a, **kw))
-    return calls
-
-
 def test_full_rank_checks_work_pinned(monkeypatch):
-    # a spec whose structural cap is below M_sigma is answered without sampling;
-    # sampling every check would make 200 and 1 197 calls
-    calls = _count_generic_rank_pattern(monkeypatch)
+    """The reduction's full-rank checks read the flow and draw nothing, and
+    the Lemma 1 run works out one flow per spec, on its rank side none."""
+    from halfcake import exact_linalg
+
+    instantiated, flows = [], []
+    instantiate, max_flow = exact_linalg.instantiate_pattern, BlockPattern.max_flow
+    monkeypatch.setattr(exact_linalg, "instantiate_pattern",
+                        lambda *a, **kw: instantiated.append(1) or instantiate(*a, **kw))
+    for spec in _reduction_corpus():
+        necessity_reduction(spec)
+    assert instantiated == []
+    monkeypatch.setattr(BlockPattern, "max_flow", lambda self: flows.append(1) or max_flow(self))
     assert lemma1_equivalence_run(seed=0)["feasible"] == 16
-    assert len(calls) == 17
-    calls.clear()
-    for spec, kwargs in _reduction_corpus():
-        necessity_reduction(spec, **kwargs)
-    assert len(calls) == 587
+    assert len(flows) == 200
+
+
+def _sampled_full_rank(spec, seed) -> bool:
+    """Generic full rank by sampling alone, as ``lemma1_equivalence_run``'s
+    rank side decides it: the structural cap reaches M_sigma and one of 8
+    seeded instantiations has rank M_sigma."""
+    pattern = spec_pattern(spec)
+    return pattern.structural_cap() >= spec.M_sigma and any(
+        rank_mod_p(instantiate_pattern(pattern, rng_from(seed, 0x6C, k))) == spec.M_sigma
+        for k in range(8))
 
 
 def test_cap_shortcut_equals_the_sampled_answer(monkeypatch):
-    """``_generically_full`` answers as the sampled rank test does on every spec
-    ``lemma1_equivalence_run`` draws at seeds 0-4 and every check
-    ``necessity_reduction`` makes on ``_reduction_corpus()``; one it answers
-    without sampling has generic rank below M_sigma."""
+    """The flow answers each full-rank check as 8 sampled trials do, on every
+    check ``necessity_reduction`` makes on ``_reduction_corpus()`` and every
+    spec ``lemma1_equivalence_run`` draws at seeds 0-4."""
     from halfcake import rank_feasibility
 
-    full = rank_feasibility._generically_full
     checks = []
-    monkeypatch.setattr(rank_feasibility, "_generically_full",
-                        lambda spec, trials, seed: checks.append((spec, trials, seed))
-                        or full(spec, trials, seed))
-    for spec, kwargs in _reduction_corpus():
-        necessity_reduction(spec, **kwargs)
+    monkeypatch.setattr(rank_feasibility, "generic_rank",
+                        lambda spec: checks.append(spec) or generic_rank(spec))
+    for spec in _reduction_corpus():
+        necessity_reduction(spec)
     monkeypatch.undo()
     assert len(checks) == 1197
-    checks += [(random_square_spec((s, t)), 8, (s, t)) for s in range(5) for t in range(200)]
-    sampled = _count_generic_rank_pattern(monkeypatch)
-    shortcuts = 0
-    for spec, trials, seed in checks:
-        before = len(sampled)
-        answer = full(spec, trials, seed)
-        sampled_at = len(sampled)
-        rank = generic_rank(spec, trials, seed)
-        assert answer == (rank == spec.M_sigma)
-        if sampled_at == before:
-            assert not answer and rank < spec.M_sigma
-            shortcuts += 1
-    # 610 reduction checks, and 183, 188, 191, 194 and 185 lemma1 draws at seeds 0-4
-    assert shortcuts == 610 + 941
+    cases = [(spec, (0xA1, n)) for n, spec in enumerate(checks)]
+    cases += [(random_square_spec((s, t)), (s, t)) for s in range(5) for t in range(200)]
+    full = 0
+    for spec, seed in cases:
+        answer = generic_rank(spec) == spec.M_sigma
+        assert answer == _sampled_full_rank(spec, seed)
+        full += answer
+    # 530 reduction checks, and 16, 11, 9, 5 and 12 lemma1 draws at seeds 0-4, are full rank
+    assert full == 530 + 53
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +505,32 @@ def test_verdict_symmetric_violation_reports_scheme_family():
 def test_certificate_validation_rejects_violations(reduced_spec):
     from halfcake.errors import CertificateInfeasible
 
-    with pytest.raises(CertificateInfeasible):
+    with pytest.raises(CertificateInfeasible, match=r"^entry \(1,2\) = 9 outside \[0, D\] = \[0, 8\]$"):
         validate_certificate(reduced_spec,
                              ReducedRankCertificate.from_rows([[0, 9, 1], [4, 0, 4], [6, 0, 0]]))
-    with pytest.raises(CertificateInfeasible):
+    with pytest.raises(CertificateInfeasible, match=r"^sums \(9, 8, 6\) / \(10, 8, 5\) do not "
+                                                    r"all equal M = \(10, 8, 6\)$"):
         validate_certificate(reduced_spec,
                              ReducedRankCertificate.from_rows([[0, 8, 1], [4, 0, 4], [6, 0, 0]]))
+    with pytest.raises(CertificateInfeasible, match="^certificate size disagrees with the spec$"):
+        validate_certificate(reduced_spec, ReducedRankCertificate.from_rows([[0, 1], [1, 0]]))
+
+
+class _CountingRow(tuple):
+    """A certificate row that counts the cells read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingRow.reads += 1
+        return super().__getitem__(i)
+
+
+def test_certificate_validation_reads_each_cell_once():
+    K = 300
+    spec = NetworkSpec.square((1,) * K)
+    rows = reduced_rank_feasible(spec).reduced_ranks
+    cert = ReducedRankCertificate(tuple(_CountingRow(row) for row in rows))
+    _CountingRow.reads = 0
+    assert validate_certificate(spec, cert) is cert
+    assert _CountingRow.reads == K * (K - 1)
