@@ -20,7 +20,8 @@ class RankExceedsDimension(HalfCakeError):
 
 
 class SpecTooLarge(HalfCakeError):
-    """A spec has more antennas on one side than ``channel_model.MAX_ANTENNAS``."""
+    """A spec has more antennas on one side than ``channel_model.MAX_ANTENNAS``, or a plan's
+    cooperation matrix more cells than ``replication_bounds.MAX_COOPERATION_CELLS``."""
 
 
 class SearchTooLarge(HalfCakeError):

@@ -48,9 +48,6 @@ class ReducedRankCertificate:
     def K(self) -> int:
         return len(self.reduced_ranks)
 
-    def entry(self, j: int, i: int) -> int:
-        return int(self.reduced_ranks[j][i])
-
     def _cross_rows(self) -> List[List[int]]:
         """The K x K ranks as ints, 0 on the diagonal, each row read once."""
         K = self.K

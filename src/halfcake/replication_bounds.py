@@ -33,6 +33,7 @@ from .errors import (
     NonUniformMu,
     PlanViolatesDefinition1,
     SearchTooLarge,
+    SpecTooLarge,
 )
 from .exact_linalg import (
     BlockPattern,
@@ -291,6 +292,12 @@ class DofBound:
         }
 
 
+#: most cells of a plan's cooperation matrix that ``outer_bound`` takes on,
+#: as many as 2 048 x 2 048; the counterexample plan at mu = 256 (3 072 x 3 072)
+#: has more
+MAX_COOPERATION_CELLS = 2 ** 22
+
+
 def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed: int = 0,
                 realization: Optional[ChannelRealization] = None) -> DofBound:
     """Sum-DoF outer bound (Mbar1 + Nbar2 - rank) / mu for a uniform plan.
@@ -298,10 +305,16 @@ def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed:
     The rank is the generic one (``generic_rank_pattern``: the block max flow
     when no reference repeats, else sampled over 2**61-1), or that of
     ``realization``'s blocks placed in the cross matrix when one is given.
+    SpecTooLarge, before any matrix is built, if that matrix would have
+    more than ``MAX_COOPERATION_CELLS`` cells.
     """
     if len(set(plan.mu)) > 1:
         raise NonUniformMu(f"sum-DoF bound needs uniform replica counts, got mu {list(plan.mu)}")
     pattern = cooperate(spec, plan)
+    Nbar2, Mbar1 = pattern.shape
+    if Nbar2 * Mbar1 > MAX_COOPERATION_CELLS:
+        raise SpecTooLarge(f"the plan's cooperation matrix would be {Nbar2} x {Mbar1}; "
+                           f"at most {MAX_COOPERATION_CELLS} cells are allowed")
     if realization is None:
         rank_val = generic_rank_pattern(pattern, trials=trials, seed=seed)
         method = f"generic-prime-field(trials={trials})"
@@ -309,7 +322,6 @@ def outer_bound(spec: NetworkSpec, plan: ReplicationPlan, trials: int = 8, seed:
         domain = realization.domain
         rank_val = rank(_place_blocks(pattern, realization.blocks, domain.dtype), domain)
         method = "realized-complex" if domain.is_complex else "realized-prime"
-    Nbar2, Mbar1 = pattern.shape
     return DofBound(rank_val, Mbar1, Nbar2, plan, method)
 
 
@@ -402,14 +414,6 @@ def candidate_potentials(spec: NetworkSpec, mu, shifts, cuts, swap) -> np.ndarra
     return out
 
 
-def _group_copies(mus, cuts, swap) -> Tuple[np.ndarray, np.ndarray]:
-    """``(n1, n2)``: each row's copies of every user in group 1 and in group 2."""
-    mus = np.asarray(mus)[:, None]
-    cuts = np.asarray(cuts)
-    n1 = np.where(np.asarray(swap, dtype=bool)[:, None], mus - cuts, cuts)
-    return n1, mus - n1
-
-
 def _potential_floors(spec: NetworkSpec, mus, n1) -> np.ndarray:
     """Lower bound on ``candidate_potentials`` that holds for every shift table.
 
@@ -484,13 +488,92 @@ class _FloorTable:
         self.least = np.concatenate([[0], np.minimum.reduceat(self.floors, self.starts[1:-1])])
 
     def lookup(self, mus, cuts, swap) -> np.ndarray:
-        """The floor of each row."""
-        mus = np.asarray(mus)
-        n1, _ = _group_copies(mus, cuts, swap)
-        index = n1[:, 0]
-        for k in range(1, n1.shape[1]):
-            index = index * (mus + 1) + n1[:, k]
-        return self.floors[self.starts[mus] + index]
+        """The floor of each row.
+
+        A swapped row's n1 is mu minus its cuts, so its index among the
+        entries of its mu is (mu + 1)**K - 1 minus that of its cuts.
+        """
+        mus, cuts = np.asarray(mus), np.asarray(cuts)
+        index = cuts[:, 0]
+        for k in range(1, cuts.shape[1]):
+            index = index * (mus + 1) + cuts[:, k]
+        swapped = self.starts[mus + 1] - 1 - index
+        return self.floors[np.where(swap, swapped, self.starts[mus] + index)]
+
+
+def _bounded(words, highs) -> np.ndarray:
+    """numpy's draw below ``highs`` from each 32-bit word (Lemire's): (word * high) >> 32."""
+    return (words.astype(np.uint64) * np.asarray(highs, np.uint64) >> 32).astype(np.int64)
+
+
+def _rejects(words, highs) -> np.ndarray:
+    """Where numpy throws the word away: (word * high) mod 2**32 < 2**32 mod high."""
+    highs = np.asarray(highs, np.uint64)
+    return words.astype(np.uint64) * highs % 2 ** 32 < (2 ** 32 - highs) % highs
+
+
+def _decode_chunks(words, n: int, K: int, mu_max: int, lcm: int):
+    """``(mus, shift words, cuts, swap)`` of chunks of n random rows, one per row of ``words``.
+
+    A chunk's 32-bit words are its n mus (none when mu_max is 2: numpy
+    draws no word for a value below 1), n shift tables, n cut rows and n
+    swaps, each drawn below its own high.  None if numpy would throw one
+    of them away.  That needs (word * high) mod 2**32 < high, so also
+    (word * lcm) mod 2**32 < lcm for the ``lcm`` of every high, and only
+    such words get the exact test.
+    """
+    C = len(words)
+    a = n * (mu_max > 2)  # where the shift tables start
+    b = a + n * K * K     # the cuts
+    c = b + n * K         # the swaps
+    mus = _bounded(words[:, :a], mu_max - 1) + 2 if a else np.full((C, n), 2, np.int64)
+    cuts = _bounded(words[:, b:c].reshape(C, n, K), mus[..., None] + 1)
+    hit = np.flatnonzero(words * np.uint32(lcm) < lcm)
+    if len(hit):
+        highs = np.concatenate([np.full((C, a), mu_max - 1), np.repeat(mus, K * K, axis=1),
+                                np.repeat(mus + 1, K, axis=1), np.full((C, n), 2)], axis=1)
+        if _rejects(words.ravel()[hit], highs.ravel()[hit]).any():
+            return None
+    return mus, words[:, a:b].reshape(C, n, K, K), cuts, _bounded(words[:, c:], 2) == 1
+
+
+def _random_chunks(rng, K: int, mu_max: int, total: int, floors: _FloorTable):
+    """Yield ``(mus, cuts, swap, floor, shifts_of)`` for each ``_CHUNK`` of ``total`` random rows.
+
+    The rows are those of four ``rng.integers`` calls per chunk, for the
+    mus, shift tables, cuts and swaps.  numpy draws each of these values
+    from one 32-bit word, the low half of a 64-bit output first, so
+    ``_decode_chunks`` reads them from ``random_raw``, four chunks at a
+    time, and ``shifts_of(rows)`` decodes the shift tables of those rows
+    alone.  A stretch that would start on a buffered half word or take an
+    odd number of words, whose highs have an lcm of 2**32 or more, or in
+    which numpy would throw a word away, is drawn with the four calls
+    instead, from the state it started at.
+    """
+    links = ~np.eye(K, dtype=bool)
+    bg = rng.bit_generator
+    lcm = int(np.lcm.reduce(np.arange(1, mu_max + 2, dtype=object)))
+    per_row = (mu_max > 2) + K * K + K + 1
+    full, last = divmod(total, _CHUNK)
+    stretches = [(_CHUNK, min(4, full - k)) for k in range(0, full, 4)] + [(last, 1)] * (last > 0)
+    for n, count in stretches:
+        state, chunks = bg.state, None
+        if lcm < 2 ** 32 and not state["has_uint32"] and count * n * per_row % 2 == 0:
+            words = bg.random_raw(count * n * per_row // 2).astype("<u8", copy=False).view("<u4")
+            chunks = _decode_chunks(words.reshape(count, -1), n, K, mu_max, lcm)
+        if chunks is None:
+            bg.state = state
+            for _ in range(count):
+                mus = rng.integers(2, mu_max + 1, size=n)
+                shifts = rng.integers(0, mus[:, None, None], size=(n, K, K)) * links
+                cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
+                swap = rng.integers(0, 2, size=n).astype(bool)
+                yield mus, cuts, swap, floors.lookup(mus, cuts, swap), shifts.__getitem__
+            continue
+        mus, words, cuts, swap = chunks
+        floor = floors.lookup(mus.ravel(), cuts.reshape(-1, K), swap.ravel()).reshape(count, n)
+        for m, w, c, s, f in zip(mus, words, cuts, swap, floor):
+            yield m, c, s, f, lambda rows, w=w, m=m: _bounded(w[rows], m[rows, None, None]) * links
 
 
 def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int = 0,
@@ -502,7 +585,14 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
     with every per-user contiguous cut in both group orientations, as many
     tables at a time as fit in ``_BATCH`` rows.  Then up to ``2 * budget``
     seeded random full shift tables with 2 <= mu <= mu_max, drawn
-    ``_CHUNK`` rows at a time.  A floor that holds for every shift table
+    ``_CHUNK`` rows at a time.  They are the rows of four ``rng.integers``
+    calls per chunk on ``rng_from(seed, 0x5E)``, but ``_random_chunks``
+    reads them from raw generator words, four chunks in one call, and
+    decodes a row's shift table only once its floor passes: numpy draws
+    each value from one 32-bit word as (word * high) >> 32.  Where numpy
+    would throw a word away and draw again, or the stream sits on a
+    buffered half word, that stretch is drawn with the four calls
+    themselves.  A floor that holds for every shift table
     (``_potential_floors``, which gives the proof) drops the rows that
     cannot beat the current best before anything else is computed; it
     depends only on (mu, n1), so ``_FloorTable`` computes it once for
@@ -612,20 +702,15 @@ def search_bounds(spec: NetworkSpec, mu_max: int, budget: int = 10000, seed: int
                  np.tile(cuts[live], (len(batch), 1)), np.tile(swap[live], len(batch)),
                  np.arange(n) // len(live))
 
-    rng = rng_from(seed, 0x5E)
-    links = ~np.eye(K, dtype=bool)
+    chunks = _random_chunks(rng_from(seed, 0x5E), K, mu_max, 2 * budget, floors)
     random_mus = np.arange(2, mu_max + 1)
     pending, held = [], 0  # rows that passed the floor, each with its draw index
     for drawn in range(0, 2 * budget, _CHUNK):
         if evals >= budget or not beats_best(floors.least[random_mus], random_mus).any():
             break
-        n = min(_CHUNK, 2 * budget - drawn)
-        mus = rng.integers(2, mu_max + 1, size=n)
-        shifts = rng.integers(0, mus[:, None, None], size=(n, K, K)) * links
-        cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
-        swap = rng.integers(0, 2, size=n).astype(bool)
-        live = np.flatnonzero(beats_best(floors.lookup(mus, cuts, swap), mus))
-        pending.append((mus[live], shifts[live], cuts[live], swap[live], drawn + live))
+        mus, cuts, swap, floor, shifts_of = next(chunks)
+        live = np.flatnonzero(beats_best(floor, mus))
+        pending.append((mus[live], shifts_of(live), cuts[live], swap[live], drawn + live))
         held += len(live)
         if held >= _CHUNK:
             rank(*map(np.concatenate, zip(*pending)))

@@ -252,6 +252,22 @@ def _many_users(blobs):
     blobs["spec"] = NetworkSpec.square((1,) * 12).to_json()
 
 
+def _counterexample_plan(m: int) -> dict:
+    """The counterexample network's plan with m copies per user, split at m / 2, every shift m / 2."""
+    from halfcake.replication_bounds import ReplicationPlan, contiguous_partition
+
+    return ReplicationPlan.from_shifts([m] * 3, [[m // 2] * 3] * 3,
+                                       contiguous_partition([m] * 3, [m // 2] * 3)).to_json()
+
+
+def _counterexample_with_plan(m: int):
+    def edit(blobs):
+        from halfcake import presets
+
+        blobs.update(spec=presets.counterexample_network().to_json(), plan=_counterexample_plan(m))
+    return edit
+
+
 #: bad input -> (command and flags, edit of the spec/channel/scheme files)
 BAD_INPUTS = {
     "trials-0": (["analyze", "--trials", "0"], None),
@@ -335,6 +351,8 @@ BAD_INPUTS = {
     "scheme-bool": (["verify"], _edit("scheme", "users", 0, "V", 0, 0, value=[False, True])),
     "plan-mu-nonuniform": (["bound"], lambda blobs: blobs["plan"].update(
         mu=[2, 1], partition=[[[1, 1], [2, 1]], [[1, 2]]])),
+    # 3 072 x 3 072 cells pass replication_bounds.MAX_COOPERATION_CELLS
+    "plan-cooperation-too-large": (["bound"], _counterexample_with_plan(256)),
 }
 
 #: bad input -> what its error line must name
@@ -356,6 +374,7 @@ NAMED_FIELDS = {
     "channel-bool": "H_1_1",
     "scheme-bool": "user 1 V",
     "plan-mu-nonuniform": "uniform",
+    "plan-cooperation-too-large": "3072 x 3072",
 }
 
 #: Python's own exception text, which an error line must not pass on
@@ -373,6 +392,25 @@ def test_analyze_refuses_an_oversized_search_before_the_verdict(tmp_path, monkey
     spec = _write_spec(tmp_path, NetworkSpec.square((1,) * 12))
     assert main(["analyze", "--spec", spec]) == 2
     _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("spare, code", [(0, 0), (-1, 2)])
+def test_plan_at_the_cooperation_ceiling_runs(tmp_path, monkeypatch, capsys, spare, code):
+    from halfcake import presets, replication_bounds
+
+    # at 4 copies per user the counterexample plan's cooperation matrix is 48 x 48
+    monkeypatch.setattr(replication_bounds, "MAX_COOPERATION_CELLS", 48 * 48 + spare)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(_counterexample_plan(4)))
+    spec = _write_spec(tmp_path, presets.counterexample_network())
+    assert main(["bound", "--spec", spec, "--plan", str(plan)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == ("error: the plan's cooperation matrix would be 48 x 48; "
+                                "at most 2303 cells are allowed\n")
+    else:
+        assert json.loads(captured.out)["Nbar2"] == 48
 
 
 def test_reproduce_bad_tol_exits_2(capsys):

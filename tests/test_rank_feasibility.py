@@ -148,7 +148,7 @@ def test_feasibility_evidence_pinned_on_corpus():
 def test_flow_two_user_forced():
     spec = NetworkSpec.square((4, 4))
     cert = reduced_rank_feasible(spec)
-    assert cert.entry(0, 1) == 4 and cert.entry(1, 0) == 4
+    assert int(cert.reduced_ranks[0][1]) == 4 and int(cert.reduced_ranks[1][0]) == 4
 
 
 def test_flow_requires_square(asym_spec):
@@ -238,7 +238,7 @@ def test_assign_degenerate_equals_constraints():
     for j in range(3):
         for i in range(3):
             if i != j:
-                assert cert.entry(j, i) == spec.D[j][i]
+                assert int(cert.reduced_ranks[j][i]) == spec.D[j][i]
 
 
 def test_assign_rejects_outside_polytope(counterexample_spec):
@@ -286,7 +286,7 @@ def test_symmetric_allocation_4_5_2():
     spec = NetworkSpec.square([5] * 4, {(j, i): 2 for j in range(4) for i in range(4) if i != j})
     cert = reduced_rank_feasible(spec)
     for i in range(4):
-        col = sorted((cert.entry(j, i) for j in range(4) if j != i), reverse=True)
+        col = sorted((int(cert.reduced_ranks[j][i]) for j in range(4) if j != i), reverse=True)
         assert col == [2, 2, 1]
     assert cert.tx_sums() == (5, 5, 5, 5)
 
@@ -294,7 +294,7 @@ def test_symmetric_allocation_4_5_2():
 def test_symmetric_allocation_exact_division():
     spec = NetworkSpec.square([4] * 3, {(j, i): 2 for j in range(3) for i in range(3) if i != j})
     cert = reduced_rank_feasible(spec)
-    assert all(cert.entry(j, i) == 2 for j in range(3) for i in range(3) if i != j)
+    assert all(int(cert.reduced_ranks[j][i]) == 2 for j in range(3) for i in range(3) if i != j)
 
 
 def test_symmetric_allocation_condition_fails():
@@ -316,7 +316,7 @@ def test_necessity_reduction_reduced_example(reduced_spec):
 def test_necessity_reduction_two_user_keeps_everything():
     spec = NetworkSpec.square((3, 3))
     cert = necessity_reduction(spec)
-    assert cert.entry(0, 1) == 3 and cert.entry(1, 0) == 3
+    assert int(cert.reduced_ranks[0][1]) == 3 and int(cert.reduced_ranks[1][0]) == 3
 
 
 def test_necessity_reduction_infeasible_returns_none(counterexample_spec):

@@ -28,14 +28,18 @@ from halfcake.errors import (
     PlanViolatesDefinition1,
     SearchTooLarge,
 )
+from halfcake import replication_bounds
 from halfcake.replication_bounds import (
+    _CHUNK,
+    _bounded,
     _cut_rows,
     _FloorTable,
-    _group_copies,
     _potential_floors,
+    _random_chunks,
+    _rejects,
     candidate_potentials,
 )
-from halfcake.exact_linalg import _place_blocks
+from halfcake.exact_linalg import _place_blocks, rng_from
 from paper_constructs import build_created_network, created_extension, rep_spec
 
 
@@ -429,6 +433,11 @@ def _cut_groups(K: int, mu_max: int):
                np.repeat([False, True], len(one_side)))
 
 
+def _group1_copies(mus, cuts, swap) -> np.ndarray:
+    """Each row's copies of every user in group 1: its cuts, or mu minus them where swapped."""
+    return np.where(np.asarray(swap, dtype=bool)[:, None], np.asarray(mus)[:, None] - cuts, cuts)
+
+
 def test_potential_floor_never_exceeds_potential():
     rng = np.random.default_rng(2025)
     exact = 0
@@ -444,7 +453,7 @@ def test_potential_floor_never_exceeds_potential():
         shifts = rng.integers(0, mus[:, None, None], size=(20, K, K))
         cuts = rng.integers(0, mus[:, None] + 1, size=(20, K))
         swap = rng.integers(0, 2, size=20).astype(bool)
-        floors = _potential_floors(spec, mus, _group_copies(mus, cuts, swap)[0])
+        floors = _potential_floors(spec, mus, _group1_copies(mus, cuts, swap))
         for mu in np.unique(mus):
             sel = mus == mu
             got = candidate_potentials(spec, int(mu), shifts[sel], cuts[sel], swap[sel])
@@ -468,7 +477,7 @@ def test_potential_floor_never_exceeds_potential():
             least = candidate_potentials(
                 spec, mu, np.repeat(tables, rows, axis=0), np.tile(cuts, (len(tables), 1)),
                 np.tile(swap, len(tables))).reshape(len(tables), rows).min(axis=0)
-            floors = _potential_floors(spec, mus, _group_copies(mus, cuts, swap)[0])
+            floors = _potential_floors(spec, mus, _group1_copies(mus, cuts, swap))
             assert (floors <= least).all()
             if mu == 1:
                 assert (floors == least).all()
@@ -505,10 +514,10 @@ def test_mixed_mu_batches_match_per_mu_calls():
         table = _FloorTable(spec, mu_max)
         assert len(table.floors) == sum((mu + 1) ** K for mu in range(1, mu_max + 1))
         for g_mus, g_cuts, g_swap in _cut_groups(K, mu_max):
-            group = _potential_floors(spec, g_mus, _group_copies(g_mus, g_cuts, g_swap)[0])
+            group = _potential_floors(spec, g_mus, _group1_copies(g_mus, g_cuts, g_swap))
             assert (table.lookup(g_mus, g_cuts, g_swap) == group).all()
             assert table.least[g_mus[0]] == group.min()
-        n1 = _group_copies(mus, cuts, swap)[0]
+        n1 = _group1_copies(mus, cuts, swap)
         assert (table.lookup(mus, cuts, swap) == _potential_floors(spec, mus, n1)).all()
     assert mixed > 20
 
@@ -756,7 +765,7 @@ RANDOM_PHASE_PINS = {
 }
 
 
-def test_search_pinned_through_random_phase():
+def _random_phase_digests() -> dict:
     got = {}
     for key in RANDOM_PHASE_PINS:
         if isinstance(key, tuple):
@@ -767,7 +776,98 @@ def test_search_pinned_through_random_phase():
             best = search_bounds(spec, mu_max=3, seed=key)
         text = json.dumps(best.to_json(), sort_keys=True)
         got[key] = hashlib.sha256(text.encode()).hexdigest()
-    assert got == RANDOM_PHASE_PINS
+    return got
+
+
+def test_search_pinned_through_random_phase():
+    assert _random_phase_digests() == RANDOM_PHASE_PINS
+
+
+def test_random_phase_pins_hold_on_the_four_integers_calls(monkeypatch):
+    # every stretch decoded from raw words is thrown back and drawn by rng.integers
+    refused = []
+    monkeypatch.setattr(replication_bounds, "_decode_chunks", lambda *args: refused.append(1))
+    assert _random_phase_digests() == RANDOM_PHASE_PINS
+    assert len(refused) > len(RANDOM_PHASE_PINS)
+
+
+def _integers_chunks(rng, K, mu_max, total):
+    """The random phase's chunks as four ``rng.integers`` calls each draw them."""
+    links = ~np.eye(K, dtype=bool)
+    for drawn in range(0, total, _CHUNK):
+        n = min(_CHUNK, total - drawn)
+        mus = rng.integers(2, mu_max + 1, size=n)
+        shifts = rng.integers(0, mus[:, None, None], size=(n, K, K)) * links
+        cuts = rng.integers(0, mus[:, None] + 1, size=(n, K))
+        swap = rng.integers(0, 2, size=n).astype(bool)
+        yield mus, shifts, cuts, swap
+
+
+def _assert_same_chunks(floors, K, mu_max, total, fresh):
+    """``_random_chunks`` on one of two twin generators gives the rows of
+    ``_integers_chunks`` on the other, and leaves both at the same place."""
+    ours, theirs = fresh(), fresh()
+    got = list(_random_chunks(ours, K, mu_max, total, floors))
+    want = list(_integers_chunks(theirs, K, mu_max, total))
+    assert len(got) == len(want) == -(-total // _CHUNK)
+    for (mus, cuts, swap, floor, shifts_of), (w_mus, w_shifts, w_cuts, w_swap) in zip(got, want):
+        shifts = shifts_of(np.arange(len(mus)))
+        for a, b in ((mus, w_mus), (shifts, w_shifts), (cuts, w_cuts), (swap, w_swap)):
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+        assert (floor == floors.lookup(w_mus, w_cuts, w_swap)).all()
+    assert (ours.bit_generator.random_raw(4) == theirs.bit_generator.random_raw(4)).all()
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_random_chunks_are_numpy_integers_draws(K):
+    for mu_max in range(2, 7):
+        floors = _FloorTable(NetworkSpec.square((2,) * K), mu_max)
+        for seed in range(20):
+            # one full chunk, then a partial one of 2 to 40 rows
+            _assert_same_chunks(floors, K, mu_max, _CHUNK + 2 * (seed + 1),
+                                lambda: rng_from(seed, K))
+
+
+def test_random_chunks_redraw_a_stretch_numpy_resamples(monkeypatch):
+    # the 106 248 776th 32-bit word of rng_from(0), the low half of output
+    # 53 124 388, is one that numpy throws away below 20: (w * 20) mod 2**32 < 16
+    def fresh():
+        rng = rng_from(0)
+        rng.bit_generator.advance(53_124_388)
+        return rng
+
+    word = fresh().bit_generator.random_raw(1).astype("<u8").view("<u4")[:1]
+    assert _rejects(word, 20).all()
+    # at mu_max 21 the mus are drawn below 20, and they come first
+    decoded = []
+    real = replication_bounds._decode_chunks
+    monkeypatch.setattr(replication_bounds, "_decode_chunks",
+                        lambda *args: decoded.append(real(*args)) or decoded[-1])
+    floors = _FloorTable(NetworkSpec.square((2, 2)), 21)
+    for total in (10, 3 * _CHUNK + 10):
+        decoded.clear()
+        _assert_same_chunks(floors, 2, 21, total, fresh)
+        assert decoded[0] is None
+
+
+def test_lemire_step_matches_python_reference():
+    def reference(w, high):
+        m = w * high
+        return m >> 32, m % 2 ** 32 < 2 ** 32 % high
+
+    rng = np.random.default_rng(36)
+    crafted = [(0, 3), (2 ** 32 - 1, 3), (1, 2), (2 ** 32 - 1, 2), (0, 2 ** 31 + 1)]
+    words = rng.integers(0, 2 ** 32, size=4000, dtype=np.uint32)
+    highs = np.concatenate([rng.integers(2, 50, size=2000),
+                            rng.integers(2 ** 31 + 1, 2 ** 31 + 10 ** 6, size=2000)])
+    words = np.concatenate([[w for w, _ in crafted], words]).astype(np.uint32)
+    highs = np.concatenate([[h for _, h in crafted], highs]).astype(np.int64)
+    want = [reference(int(w), int(h)) for w, h in zip(words, highs)]
+    assert _bounded(words, highs).tolist() == [v for v, _ in want]
+    assert _rejects(words, highs).tolist() == [r for _, r in want]
+    assert [r for _, r in want[:len(crafted)]] == [True, False, False, False, True]
+    # just above 2**31, about half of all words are thrown away
+    assert 0.45 < np.mean([r for _, r in want[-2000:]]) < 0.55
 
 
 def _search_corpus():
