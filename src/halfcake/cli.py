@@ -88,7 +88,9 @@ def cmd_analyze(args) -> int:
         rep = verify_scheme(ext, scheme, tol=args.tol)
         achiev["ergodic"] = {"sum_dof": _json_frac(rep.sum_dof), "passed": rep.passed,
                              "max_residual": rep.max_residual}
-        exceeding = best_exceeding_scheme(ext, seed=args.seed, tol=args.tol)
+        # every exceeding scheme beats half the cake, and none beats an outer bound
+        exceeding = (best_exceeding_scheme(ext, seed=args.seed, tol=args.tol)
+                     if bound.value > spec.half_cake else None)
         if exceeding is not None:
             _, family, rep2 = exceeding
             achiev["exceeding"] = {"scheme": family, "sum_dof": _json_frac(rep2.sum_dof),

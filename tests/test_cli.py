@@ -60,6 +60,28 @@ def test_analyze_reduced_example(tmp_path, reduced_spec):
     assert report["verdict"]["certificate"] is not None
 
 
+def test_analyze_seeks_an_exceeding_scheme_only_above_half_the_cake(tmp_path, monkeypatch):
+    """Only the counterexample's bound, 25/2, leaves room above half the cake;
+    the other square presets reach a bound of half the cake."""
+    from halfcake import cli, presets
+
+    calls = Counter()
+    seek = cli.best_exceeding_scheme
+
+    def counted(*args, **kwargs):
+        calls[name] += 1  # the preset being analyzed
+        return seek(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "best_exceeding_scheme", counted)
+    for name, network in presets.NETWORKS.items():
+        out = tmp_path / f"{name}.json"
+        assert main(["analyze", "--spec", _write_spec(tmp_path, network()),
+                     "--out", str(out)]) == 0
+        achievability = _read(out)["achievability"] or {}
+        assert ("exceeding" in achievability) == (name == "counterexample"), name
+    assert calls == {"counterexample": 1}
+
+
 def _one_error_line(capsys):
     """Assert that the last command printed nothing but one ``error:`` line."""
     captured = capsys.readouterr()
